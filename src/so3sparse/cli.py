@@ -164,6 +164,7 @@ def _cmd_recover(ns) -> int:
         "primal_residual": result.primal_residual,
         "dual_residual": result.dual_residual,
         "objective": result.objective,
+        "penalty": result.penalty,
         "status": result.status,
         "wall_time_s": time.time() - t0,
     }

@@ -157,12 +157,10 @@ def phase_transition(
     if threads <= 1:
         results = map(_run_cell, jobs)
     else:
-        pool = ProcessPoolExecutor(max_workers=threads)
-        results = pool.map(_run_cell, jobs)
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(_run_cell, jobs))
     for idx, rate in results:
         rates[idx] = rate
-    if threads > 1:
-        pool.shutdown()
     grid = rates.reshape(len(m_values), len(s_values))
     return PhaseTransitionGrid(list(m_values), list(s_values), grid, template)
 

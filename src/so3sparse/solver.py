@@ -7,7 +7,13 @@ proximal step:
   (one cached factorization of A A*) with soft-thresholding.
 * `bpdn_ball` splits as x = z, Ax - y = w with w constrained to the
   ell2-ball; the x-update solves (I + A*A) x = rhs through the Woodbury
-  identity so only an m x m factorization of (I + A A*) is needed.
+  identity, x = rhs - A* q with q = C^{-1} A rhs and C = I + A A*, so only
+  an m x m system is ever solved. C^{-1} A is solved for once per call and
+  cached explicitly in place of a Cholesky factor: the eigenvalues of C
+  are >= 1, so C^{-1} is well conditioned. A x = A rhs - (C - I) q = q
+  comes for free, and the other A* products of an iteration are multiples
+  of A* v for the ball-projection argument v, so an iteration costs three
+  matvecs.
 
 The l1 objective is the sum of complex moduli throughout.
 """
@@ -61,6 +67,7 @@ class SolverResult:
     primal_residual: float
     dual_residual: float
     status: str
+    penalty: float   # final ADMM penalty rho, after rebalancing
 
     @property
     def objective(self) -> float:
@@ -72,10 +79,15 @@ def soft_threshold(z, tau: float):
     if tau < 0:
         raise ValueError("tau must be >= 0")
     z = np.asarray(z, dtype=complex)
-    mag = np.abs(z)
-    shrink = np.maximum(1.0 - tau / np.where(mag > 0, mag, 1.0), 0.0)
-    out = z * shrink
+    # 1 - tau/max(|z|, tau) is 1 - tau/|z| above the threshold and exactly
+    # 0 at or below it; with tau = 0 the floor 1 keeps 0/0 out
+    out = z * (1.0 - tau / np.maximum(np.abs(z), tau if tau > 0 else 1.0))
     return out if out.ndim else complex(out)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a complex vector, without np.linalg.norm's overhead."""
+    return math.sqrt(np.vdot(v, v).real)
 
 
 def _tolerances(cfg: SolverConfig, dim: int, ref_primal: float, ref_dual: float):
@@ -106,7 +118,8 @@ def basis_pursuit(A: np.ndarray, y: np.ndarray, cfg: SolverConfig | None = None)
     if np.linalg.norm(A @ x0 - y) > cfg.primal_tolerance * (1.0 + np.linalg.norm(y)):
         return SolverResult(x=x0, iterations=0,
                             primal_residual=float(np.linalg.norm(A @ x0 - y)),
-                            dual_residual=float("inf"), status=INFEASIBLE)
+                            dual_residual=float("inf"), status=INFEASIBLE,
+                            penalty=cfg.penalty)
 
     rho = cfg.penalty
     alpha = cfg.over_relaxation
@@ -127,7 +140,7 @@ def basis_pursuit(A: np.ndarray, y: np.ndarray, cfg: SolverConfig | None = None)
         )
         if r_norm < eps_pri and s_norm < eps_dua:
             return SolverResult(x=project(z), iterations=it, primal_residual=r_norm,
-                                dual_residual=s_norm, status=CONVERGED)
+                                dual_residual=s_norm, status=CONVERGED, penalty=rho)
         # rebalance only every few iterations: per-iteration rescaling of u
         # can lock the iteration into a limit cycle
         if it % 10 == 0:
@@ -138,7 +151,8 @@ def basis_pursuit(A: np.ndarray, y: np.ndarray, cfg: SolverConfig | None = None)
                 rho /= 2.0
                 u *= 2.0
     return SolverResult(x=project(z), iterations=cfg.max_iterations,
-                        primal_residual=r_norm, dual_residual=s_norm, status=MAX_ITER)
+                        primal_residual=r_norm, dual_residual=s_norm, status=MAX_ITER,
+                        penalty=rho)
 
 
 def bpdn_ball(
@@ -151,27 +165,22 @@ def bpdn_ball(
     A = np.asarray(A, dtype=complex)
     y = np.asarray(y, dtype=complex)
     m, N = A.shape
-    if np.linalg.norm(y) <= radius:
+    y_norm = _norm(y)
+    if y_norm <= radius:
         return SolverResult(x=np.zeros(N, dtype=complex), iterations=0,
-                            primal_residual=0.0, dual_residual=0.0, status=CONVERGED)
-    factor = cho_factor(np.eye(m) + A @ A.conj().T)
-    At = A.conj().T
+                            primal_residual=0.0, dual_residual=0.0, status=CONVERGED,
+                            penalty=cfg.penalty)
 
     xls, *_ = np.linalg.lstsq(A, y, rcond=None)
-    best_feasible = float(np.linalg.norm(A @ xls - y))
-    if best_feasible > radius + cfg.primal_tolerance * (1.0 + np.linalg.norm(y)):
+    best_feasible = _norm(A @ xls - y)
+    if best_feasible > radius + cfg.primal_tolerance * (1.0 + y_norm):
         return SolverResult(x=xls, iterations=0, primal_residual=best_feasible,
-                            dual_residual=float("inf"), status=INFEASIBLE)
+                            dual_residual=float("inf"), status=INFEASIBLE,
+                            penalty=cfg.penalty)
 
-    def solve_x(rhs):
-        # (I + A*A)^{-1} rhs by Woodbury
-        return rhs - At @ cho_solve(factor, A @ rhs)
-
-    def proj_ball(v):
-        nrm = np.linalg.norm(v)
-        if nrm <= radius or nrm == 0.0:
-            return v
-        return v * (radius / nrm)
+    At = A.conj().T
+    CinvA = np.linalg.solve(np.eye(m) + A @ At, A)   # (I + A A*)^{-1} A
+    Aty = At @ y
 
     rho = cfg.penalty
     alpha = cfg.over_relaxation
@@ -179,43 +188,53 @@ def bpdn_ball(
     w = np.zeros(m, dtype=complex)
     u1 = np.zeros(N, dtype=complex)
     u2 = np.zeros(m, dtype=complex)
+    Atw = np.zeros(N, dtype=complex)    # A* w
+    Atu2 = np.zeros(N, dtype=complex)   # A* u2
     r_norm = s_norm = float("inf")
-    x = np.zeros(N, dtype=complex)
     for it in range(1, cfg.max_iterations + 1):
-        rhs = (z - u1) + At @ (y + w - u2)
-        x = solve_x(rhs)
-        Ax = A @ x
+        rhs = (z - u1) + (Aty + Atw - Atu2)
+        Ax = CinvA @ rhs
+        x = rhs - At @ Ax
         x_hat = alpha * x + (1.0 - alpha) * z
-        Ax_hat = alpha * Ax + (1.0 - alpha) * (w + y)
-        z_old, w_old = z, w
+        Ax_y = Ax - y
+        z_old, Atw_old = z, Atw
         z = soft_threshold(x_hat + u1, 1.0 / rho)
-        w = proj_ball(Ax_hat - y + u2)
-        u1 = u1 + x_hat - z
-        u2 = u2 + Ax_hat - y - w
-        r_norm = float(math.hypot(np.linalg.norm(x - z), np.linalg.norm(Ax - y - w)))
-        s_norm = float(rho * math.hypot(np.linalg.norm(z - z_old),
-                                        np.linalg.norm(At @ (w - w_old))))
+        # v = A x_hat - y + u2; w is its projection onto the ball and u2 = v - w,
+        # so A* w and A* u2 are multiples of A* v
+        v = alpha * Ax_y + (1.0 - alpha) * w + u2
+        v_norm = _norm(v)
+        shrink = radius / v_norm if v_norm > radius else 1.0
+        w = shrink * v
+        u2 = v - w
+        Atv = At @ v
+        Atw = shrink * Atv
+        Atu2 = Atv - Atw
+        u1 += x_hat
+        u1 -= z
+        r_norm = math.hypot(_norm(x - z), _norm(Ax_y - w))
+        s_norm = rho * math.hypot(_norm(z - z_old), _norm(Atw - Atw_old))
         eps_pri, eps_dua = _tolerances(
             cfg, N + m,
-            max(np.linalg.norm(x), np.linalg.norm(z),
-                np.linalg.norm(Ax - y), np.linalg.norm(w)),
-            rho * math.hypot(np.linalg.norm(u1), np.linalg.norm(At @ u2)),
+            max(_norm(x), _norm(z), _norm(Ax_y), min(v_norm, radius)),
+            rho * math.hypot(_norm(u1), _norm(Atu2)),
         )
         if r_norm < eps_pri and s_norm < eps_dua:
             return SolverResult(x=z, iterations=it, primal_residual=r_norm,
-                                dual_residual=s_norm, status=CONVERGED)
+                                dual_residual=s_norm, status=CONVERGED, penalty=rho)
         # same periodic rebalancing as the exact-constraint solver
         if it % 10 == 0:
             if r_norm > 10.0 * s_norm:
                 rho *= 2.0
                 u1 /= 2.0
                 u2 /= 2.0
+                Atu2 /= 2.0
             elif s_norm > 10.0 * r_norm:
                 rho /= 2.0
                 u1 *= 2.0
                 u2 *= 2.0
+                Atu2 *= 2.0
     return SolverResult(x=z, iterations=cfg.max_iterations, primal_residual=r_norm,
-                        dual_residual=s_norm, status=MAX_ITER)
+                        dual_residual=s_norm, status=MAX_ITER, penalty=rho)
 
 
 @dataclass

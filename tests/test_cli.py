@@ -91,6 +91,7 @@ def test_recover_round_trip(tmp_path, capsys):
     assert np.linalg.norm(xr - x) / np.linalg.norm(x) < 1e-5
     report = json.loads((out / "solve_report.json").read_text())
     assert report["status"] == "Converged"
+    assert report["penalty"] > 0
     assert (out / "manifest.json").exists()
 
 

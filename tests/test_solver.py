@@ -112,6 +112,23 @@ def test_bpdn_planted_one_sparse():
     assert np.linalg.norm(res.x - x) / np.linalg.norm(x) < 1e-5
 
 
+def test_bpdn_active_ball_with_bounded_noise():
+    # 0 < radius < ||y||: the ball projection of w is active at the optimum
+    rng = np.random.default_rng(8)
+    A, x, y0 = _planted(rng, 20, 50, 3)
+    radius = 0.05 * np.linalg.norm(y0)
+    e = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    y = y0 + 0.8 * radius * e / np.linalg.norm(e)
+    assert 0 < radius < np.linalg.norm(y)
+    res = bpdn_ball(A, y, radius, TIGHT)
+    assert res.status == CONVERGED
+    misfit = np.linalg.norm(A @ res.x - y)
+    assert misfit <= radius * (1 + 1e-6) + 1e-8
+    assert misfit >= radius * (1 - 1e-6)
+    # the planted vector is feasible, so the minimizer's l1 norm is no larger
+    assert res.objective <= np.sum(np.abs(x)) + 1e-7
+
+
 def test_bpdn_infeasible_ball():
     A = np.array([[1.0, 0.0], [0.0, 0.0]])
     y = np.array([0.0, 1.0], dtype=complex)
