@@ -148,7 +148,8 @@ def _cmd_recover(ns) -> int:
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"cannot load problem from {ns.problem_dir}: {exc}")
     _prepare_output(ns.output_dir, ["x.csv", "solve_report.json"], ns.force)
-    system = sensing.precondition(problem)
+    system = sensing.precondition(problem.samples, problem.A, problem.y,
+                                  problem.epsilon)
     radius = system.radius if ns.radius is None else ns.radius * system.scale * math.sqrt(problem.m)
     cfg = solver.SolverConfig(max_iterations=ns.max_iter,
                               primal_tolerance=ns.tol, dual_tolerance=ns.tol)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import sampling
-from .sensing import CoefficientVector, add_noise, make_problem, precondition
+from .sensing import add_noise, build_matrix, precondition
 from .solver import SolverConfig, bpdn_ball
 from .wigner import _norm_factor, basis_count, wigner_d
 
@@ -102,26 +102,16 @@ def sigma_s(g: np.ndarray, s: int, p: int) -> float:
     return float(np.linalg.norm(tail, ord=p))
 
 
-def _sample(measure: str, rng: np.random.Generator, m: int):
-    if measure == sampling.PRODUCT:
-        return sampling.sample_product(rng, m)
-    if measure == sampling.TAN13:
-        return sampling.sample_tan_measure(rng, m)
-    raise ValueError(f"unknown measure {measure!r}")
-
-
 def run_trial(cfg: TrialConfig, trial_index: int) -> tuple[bool, float]:
     """One planted-recovery trial; the trial seed is base_seed + trial_index."""
     rng = np.random.default_rng(cfg.base_seed + trial_index)
-    points = _sample(cfg.measure, rng, cfg.m)
+    samples = sampling.sample_points(cfg.measure, rng, cfg.m)
     g = gen_sparse(basis_count(cfg.B), cfg.s, cfg.nonzero_model, rng)
-    coeff = CoefficientVector(cfg.B, g)
-    problem = make_problem(points, cfg.B, np.zeros(cfg.m), cfg.noise_epsilon)
-    y = problem.A @ coeff.values
+    A = build_matrix(samples, cfg.B)
+    y = A @ g
     if cfg.noise_epsilon > 0:
         y = add_noise(y, cfg.noise_epsilon, rng)
-    problem.y = y
-    system = precondition(problem)
+    system = precondition(samples, A, y, cfg.noise_epsilon)
     result = bpdn_ball(system.A, system.y, system.radius, cfg.solver)
     if result.status == "Infeasible":
         return False, float("inf")

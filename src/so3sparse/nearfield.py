@@ -13,13 +13,13 @@ reported alongside every result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import sampling
-from .sampling import SamplePoint, preconditioner_weight
-from .sensing import measure_mass, points_to_arrays
+from .sampling import Samples
+from .sensing import precondition
 from .solver import SolverConfig, SolverResult, bpdn_ball
 from .wigner import wigner_D
 
@@ -92,14 +92,14 @@ class TransmissionCoefficients:
 
 @dataclass
 class ProbeSchedule:
-    points: list[SamplePoint]
+    samples: Samples
     chi_set: tuple[float, ...] = DEFAULT_CHI_SET
 
     def __post_init__(self):
-        allowed = set(self.chi_set)
-        for p in self.points:
-            if p.chi not in allowed:
-                raise ValueError(f"chi={p.chi} not in the declared set {self.chi_set}")
+        chi = self.samples.chi
+        bad = chi[~np.isin(chi, self.chi_set)]
+        if bad.size:
+            raise ValueError(f"chi={bad[0]} not in the declared set {self.chi_set}")
 
 
 def make_schedule(
@@ -109,24 +109,16 @@ def make_schedule(
     chi_set: tuple[float, ...] = DEFAULT_CHI_SET,
 ) -> ProbeSchedule:
     """m probe positions drawn from the measure, chi drawn from chi_set."""
-    if measure == sampling.PRODUCT:
-        raw = sampling.sample_product(rng, m)
-    elif measure == sampling.TAN13:
-        raw = sampling.sample_tan_measure(rng, m)
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
-    chis = rng.choice(chi_set, size=m)
-    points = [
-        SamplePoint(p.theta, p.phi, float(c), p.measure) for p, c in zip(raw, chis)
-    ]
-    return ProbeSchedule(points=points, chi_set=tuple(chi_set))
+    samples = sampling.sample_points(measure, rng, m)
+    samples = replace(samples, chi=rng.choice(chi_set, size=m))
+    return ProbeSchedule(samples=samples, chi_set=tuple(chi_set))
 
 
 def build_dictionary(T: TransmissionCoefficients, schedule: ProbeSchedule) -> np.ndarray:
     """m x 2B(B+2) matrix whose (h, l, k) column is
     v * sum_n c_{h,n} D_l^{k,n} at the probe points (orders |n| > l skipped)."""
-    theta, phi, chi, _ = points_to_arrays(schedule.points)
-    m = len(theta)
+    pts = schedule.samples
+    m = len(pts)
     A = np.zeros((m, coefficient_count(T.B)), dtype=complex)
     for h in (1, 2):
         for l in range(1, T.B + 1):
@@ -137,7 +129,7 @@ def build_dictionary(T: TransmissionCoefficients, schedule: ProbeSchedule) -> np
                         continue
                     c = T.probe_weights.get((h, n), 0.0)
                     if c != 0.0:
-                        col += c * wigner_D(l, k, n, theta, phi, chi)
+                        col += c * wigner_D(l, k, n, pts.theta, pts.phi, pts.chi)
                 A[:, coefficient_index(h, l, k, T.B)] = T.v * col
     return A
 
@@ -147,14 +139,6 @@ def transmission_forward(
 ) -> np.ndarray:
     """Near-field samples at the scheduled probe positions."""
     return build_dictionary(T, schedule) @ T.values
-
-
-def _preconditioned_system(template: TransmissionCoefficients, schedule: ProbeSchedule):
-    theta, _, _, measure = points_to_arrays(schedule.points)
-    A = build_dictionary(template, schedule)
-    P = preconditioner_weight(measure, theta)
-    scale = math.sqrt(measure_mass(measure)) / math.sqrt(len(theta))
-    return scale * (P[:, None] * A), scale * P, scale
 
 
 def recover_transmission(
@@ -172,9 +156,9 @@ def recover_transmission(
         B, np.zeros(coefficient_count(B)), v=v, v_max=v_max,
         probe_weights=probe_weights or default_probe_weights(v_max),
     )
-    A_pre, p_scaled, scale = _preconditioned_system(template, schedule)
-    radius = scale * math.sqrt(len(y)) * epsilon
-    result = bpdn_ball(A_pre, p_scaled * np.asarray(y, dtype=complex), radius, cfg)
+    A = build_dictionary(template, schedule)
+    system = precondition(schedule.samples, A, y, epsilon)
+    result = bpdn_ball(system.A, system.y, system.radius, cfg)
     recovered = TransmissionCoefficients(
         B, result.x, v=v, v_max=v_max, probe_weights=template.probe_weights
     )
@@ -196,8 +180,9 @@ def baseline_least_squares(
         B, np.zeros(coefficient_count(B)), v=v, v_max=v_max,
         probe_weights=probe_weights or default_probe_weights(v_max),
     )
-    A_pre, p_scaled, _ = _preconditioned_system(template, schedule)
-    x = np.linalg.pinv(A_pre, rcond=rcond) @ (p_scaled * np.asarray(y, dtype=complex))
+    A = build_dictionary(template, schedule)
+    system = precondition(schedule.samples, A, y)
+    x = np.linalg.pinv(system.A, rcond=rcond) @ system.y
     return TransmissionCoefficients(
         B, x, v=v, v_max=v_max, probe_weights=template.probe_weights
     )
@@ -217,11 +202,9 @@ def pattern_cut(
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     if theta_grid.size == 0:
         raise ValueError("empty theta grid")
-    points = [
-        SamplePoint(float(t), float(phi_cut), float(chi), sampling.PRODUCT)
-        for t in theta_grid
-    ]
-    schedule = ProbeSchedule(points=points, chi_set=(float(chi),))
+    samples = Samples(theta_grid, np.full_like(theta_grid, phi_cut),
+                      np.full_like(theta_grid, chi), sampling.PRODUCT)
+    schedule = ProbeSchedule(samples=samples, chi_set=(float(chi),))
     y = transmission_forward(T, schedule)
     mag = np.abs(y)
     peak = mag.max()

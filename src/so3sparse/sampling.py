@@ -5,167 +5,115 @@ and "tan13" (|tan theta|^{1/3} d theta). phi and chi are always uniform on
 [0, 2 pi). Each measure comes with the preconditioner weight that turns
 the sampled system back into an orthonormal one: weight(theta)^2 times the
 theta-density is proportional to sin(theta) for both.
+
+Both theta-CDFs have closed forms, so theta is drawn by inverting them.
+For tan13 the substitution x = sin^2 theta turns the density into a beta
+density: the mass of [0, pi] is B(2/3, 1/3) = 2 pi / sqrt(3), and
+
+    F(theta) = I_{sin^2 theta}(2/3, 1/3) / 2          (theta <= pi/2)
+    F(theta) = 1 - I_{sin^2 theta}(2/3, 1/3) / 2      (theta >  pi/2)
+
+with I the regularized incomplete beta function. The code evaluates it at
+e = pi/2 - theta, through whichever of sin^2 e and cos^2 e is small, so
+it keeps full precision both at the poles and at the equator. e is taken
+from the float pi/2, which makes theta_cdf(pi/2) exactly 1/2 and
+theta_quantile(1/2) exactly pi/2.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
+from scipy.special import betainc, betaincinv
 
 PRODUCT = "product"
 TAN13 = "tan13"
+MEASURES = (PRODUCT, TAN13)
 
-_CDF_MAGIC = b"WCSCDF01"
-
-# total mass of |tan theta|^{1/3} d theta on [0, pi]
-TAN13_THETA_MASS = 3.627598728468277
+# total mass of |tan theta|^{1/3} d theta on [0, pi]: B(2/3, 1/3)
+TAN13_THETA_MASS = 2 * math.pi / math.sqrt(3)
 
 __all__ = [
     "PRODUCT",
     "TAN13",
-    "SamplePoint",
-    "MeasureSpec",
-    "build_cdf_table",
-    "save_cdf_table",
-    "load_cdf_table",
-    "default_tan_spec",
-    "sample_product",
-    "sample_tan_measure",
+    "MEASURES",
+    "Samples",
+    "sample_points",
+    "theta_cdf",
+    "theta_quantile",
     "preconditioner_weight",
     "theta_density",
     "measure_mass",
 ]
 
 
-class SamplePoint(NamedTuple):
-    theta: float
-    phi: float
-    chi: float
+@dataclass
+class Samples:
+    """m points on SO(3) as Euler-angle arrays, all drawn from one measure."""
+
+    theta: np.ndarray
+    phi: np.ndarray
+    chi: np.ndarray
     measure: str
 
-
-@dataclass
-class MeasureSpec:
-    """Tabulated theta-CDF of a sampling measure (needed for tan13 only)."""
-
-    kind: str
-    thetas: np.ndarray
-    cdf: np.ndarray
-    _inv: PchipInterpolator | None = field(default=None, repr=False)
-    _fwd: PchipInterpolator | None = field(default=None, repr=False)
-
     def __post_init__(self):
-        if len(self.thetas) != len(self.cdf) or len(self.thetas) < 2:
-            raise ValueError("CDF table malformed")
-        if np.any(np.diff(self.thetas) <= 0) or np.any(np.diff(self.cdf) <= 0):
-            raise ValueError("CDF table must be strictly increasing")
+        if self.measure not in MEASURES:
+            raise ValueError(f"unknown measure {self.measure!r}")
+        self.theta, self.phi, self.chi = (
+            np.asarray(a, dtype=float) for a in (self.theta, self.phi, self.chi)
+        )
+        shape = self.theta.shape
+        if len(shape) != 1 or not shape == self.phi.shape == self.chi.shape:
+            raise ValueError("theta, phi and chi must be 1-D arrays of equal length")
+        if len(self.theta) < 1:
+            raise ValueError("need m >= 1 points")
 
-    @property
-    def resolution(self) -> int:
-        return len(self.thetas)
-
-    def inverse_cdf(self, u):
-        if self._inv is None:
-            self._inv = PchipInterpolator(self.cdf, self.thetas)
-        return self._inv(u)
-
-    def cdf_at(self, theta):
-        if self._fwd is None:
-            self._fwd = PchipInterpolator(self.thetas, self.cdf)
-        return self._fwd(theta)
+    def __len__(self) -> int:
+        return len(self.theta)
 
 
-def _tan13_density(theta: float) -> float:
-    return abs(math.tan(theta)) ** (1.0 / 3.0)
+def sample_points(measure: str, rng: np.random.Generator, m: int) -> Samples:
+    """m i.i.d. points: theta by inverse CDF, phi and chi uniform on [0, 2 pi).
 
-
-def build_cdf_table(resolution: int = 4096) -> MeasureSpec:
-    """Tabulate the normalized CDF of |tan theta|^{1/3} on [0, pi].
-
-    Piecewise adaptive quadrature; the cell containing the integrable
-    pole at pi/2 (exponent -1/3) is split at the pole.
+    The generator draws m uniforms for theta, then m for phi, then m for
+    chi; for product, theta = pi * u equals rng.uniform(0, pi, m) bit for bit.
     """
-    if resolution < 256:
-        raise ValueError(f"resolution must be >= 256, got {resolution}")
-    thetas = np.linspace(0.0, math.pi, resolution)
-    increments = np.empty(resolution - 1)
-    for i in range(resolution - 1):
-        a, b = thetas[i], thetas[i + 1]
-        pts = [math.pi / 2] if a < math.pi / 2 < b else None
-        val, err = quad(_tan13_density, a, b, points=pts, limit=200,
-                        epsabs=1e-13, epsrel=1e-12)
-        if err > 1e-12 + 1e-10 * val:
-            raise RuntimeError(
-                f"CDF quadrature failed to converge on [{a:.6g}, {b:.6g}]"
-            )
-        increments[i] = val
-    cdf = np.concatenate([[0.0], np.cumsum(increments)])
-    cdf /= cdf[-1]
-    cdf[-1] = 1.0
-    return MeasureSpec(kind=TAN13, thetas=thetas, cdf=cdf)
-
-
-def save_cdf_table(spec: MeasureSpec, path) -> None:
-    """Little-endian binary cache: 16-byte header then (theta, cdf) f64 pairs."""
-    with open(path, "wb") as fh:
-        fh.write(_CDF_MAGIC)
-        fh.write(struct.pack("<Q", spec.resolution))
-        pairs = np.column_stack([spec.thetas, spec.cdf]).astype("<f8")
-        fh.write(pairs.tobytes())
-
-
-def load_cdf_table(path) -> MeasureSpec:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CDF_MAGIC:
-            raise ValueError(f"bad CDF cache magic {magic!r}")
-        (resolution,) = struct.unpack("<Q", fh.read(8))
-        pairs = np.frombuffer(fh.read(int(resolution) * 16), dtype="<f8")
-        pairs = pairs.reshape(int(resolution), 2)
-    return MeasureSpec(kind=TAN13, thetas=pairs[:, 0].copy(), cdf=pairs[:, 1].copy())
-
-
-_DEFAULT_TAN_SPEC: MeasureSpec | None = None
-
-
-def default_tan_spec() -> MeasureSpec:
-    """Process-wide cached 4096-entry table for the tan13 measure."""
-    global _DEFAULT_TAN_SPEC
-    if _DEFAULT_TAN_SPEC is None:
-        _DEFAULT_TAN_SPEC = build_cdf_table(4096)
-    return _DEFAULT_TAN_SPEC
-
-
-def sample_product(rng: np.random.Generator, m: int) -> list[SamplePoint]:
-    """m i.i.d. points with theta uniform on [0, pi], phi and chi on [0, 2 pi)."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    theta = rng.uniform(0.0, math.pi, m)
+    u = rng.uniform(0.0, 1.0, m)
     phi = rng.uniform(0.0, 2 * math.pi, m)
     chi = rng.uniform(0.0, 2 * math.pi, m)
-    return [SamplePoint(t, p, c, PRODUCT) for t, p, c in zip(theta, phi, chi)]
+    return Samples(theta_quantile(measure, u), phi, chi, measure)
 
 
-def sample_tan_measure(
-    rng: np.random.Generator, m: int, spec: MeasureSpec | None = None
-) -> list[SamplePoint]:
-    """m i.i.d. points with theta ~ |tan theta|^{1/3}/Z via inverse-CDF lookup."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if spec is None:
-        spec = default_tan_spec()
-    if spec.kind != TAN13:
-        raise ValueError(f"expected a {TAN13} CDF table, got {spec.kind}")
-    theta = np.asarray(spec.inverse_cdf(rng.uniform(0.0, 1.0, m)))
-    phi = rng.uniform(0.0, 2 * math.pi, m)
-    chi = rng.uniform(0.0, 2 * math.pi, m)
-    return [SamplePoint(t, p, c, TAN13) for t, p, c in zip(theta, phi, chi)]
+def theta_cdf(measure, theta):
+    """Normalized CDF of the theta-marginal on [0, pi]."""
+    theta = np.asarray(theta, dtype=float)
+    if measure == PRODUCT:
+        return theta / math.pi
+    if measure == TAN13:
+        e = math.pi / 2 - theta
+        sin2, cos2 = np.sin(e) ** 2, np.cos(e) ** 2
+        # mass between theta and its nearer pole
+        from_pole = np.where(sin2 > 0.5, 0.5 * betainc(2 / 3, 1 / 3, cos2),
+                             0.5 - 0.5 * betainc(1 / 3, 2 / 3, sin2))
+        return np.where(e >= 0, from_pole, 1.0 - from_pole)
+    raise ValueError(f"unknown measure {measure!r}")
+
+
+def theta_quantile(measure, u):
+    """Inverse of theta_cdf: the theta in [0, pi] with theta_cdf(theta) = u."""
+    u = np.asarray(u, dtype=float)
+    if measure == PRODUCT:
+        return math.pi * u
+    if measure == TAN13:
+        # fold at u = 1/2: v is the mass between theta and its nearer pole,
+        # and e = |pi/2 - theta| follows from both sin^2 e and cos^2 e
+        v = np.minimum(u, 1.0 - u)
+        e = np.arctan2(np.sqrt(betaincinv(1 / 3, 2 / 3, 1.0 - 2.0 * v)),
+                       np.sqrt(betaincinv(2 / 3, 1 / 3, 2.0 * v)))
+        return math.pi / 2 - np.sign(0.5 - u) * e
+    raise ValueError(f"unknown measure {measure!r}")
 
 
 def preconditioner_weight(measure, theta):
@@ -175,13 +123,12 @@ def preconditioner_weight(measure, theta):
     Either way weight^2 times the theta-density is proportional to
     sin(theta), which is what restores orthonormality after sampling.
     """
-    kind = measure.kind if isinstance(measure, MeasureSpec) else measure
     theta = np.asarray(theta, dtype=float)
-    if kind == PRODUCT:
+    if measure == PRODUCT:
         return np.sqrt(np.abs(np.sin(theta)))
-    if kind == TAN13:
+    if measure == TAN13:
         return (np.sin(theta) ** 2 * np.abs(np.cos(theta))) ** (1.0 / 6.0)
-    raise ValueError(f"unknown measure {kind!r}")
+    raise ValueError(f"unknown measure {measure!r}")
 
 
 def theta_density(measure, theta, normalized: bool = True):
@@ -190,22 +137,20 @@ def theta_density(measure, theta, normalized: bool = True):
     Unnormalized: 1 for product, |tan theta|^{1/3} for tan13. With
     normalized=True the density integrates to 1 over [0, pi].
     """
-    kind = measure.kind if isinstance(measure, MeasureSpec) else measure
     theta = np.asarray(theta, dtype=float)
-    if kind == PRODUCT:
+    if measure == PRODUCT:
         dens = np.ones_like(theta)
         return dens / math.pi if normalized else dens
-    if kind == TAN13:
+    if measure == TAN13:
         dens = np.abs(np.tan(theta)) ** (1.0 / 3.0)
         return dens / TAN13_THETA_MASS if normalized else dens
-    raise ValueError(f"unknown measure {kind!r}")
+    raise ValueError(f"unknown measure {measure!r}")
 
 
 def measure_mass(measure) -> float:
     """Total mass of the unnormalized measure on SO(3), angular factors included."""
-    kind = measure.kind if isinstance(measure, MeasureSpec) else measure
-    if kind == PRODUCT:
+    if measure == PRODUCT:
         return math.pi * (2 * math.pi) ** 2
-    if kind == TAN13:
+    if measure == TAN13:
         return TAN13_THETA_MASS * (2 * math.pi) ** 2
-    raise ValueError(f"unknown measure {kind!r}")
+    raise ValueError(f"unknown measure {measure!r}")

@@ -4,8 +4,8 @@ The sensed system is y = A g + eta where row i of A holds the Wigner-D
 functions at sample point i. Preconditioning multiplies row i by the
 measure's weight P_i, and rescales by sqrt(mass) / sqrt(m) so that the
 columns of the scaled system are near-unit-norm; the rescaling is pure
-conditioning (recorded in `scale`) and leaves the l1 program equivalent
-to the ell2-ball program with radius sqrt(m) * epsilon.
+conditioning (recorded in `PreconditionedSystem.scale`) and leaves the l1
+program equivalent to the ell2-ball program with radius sqrt(m) * epsilon.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling
-from .sampling import SamplePoint, measure_mass, preconditioner_weight
+from .sampling import Samples, measure_mass, preconditioner_weight
 from .wigner import basis_count, evaluate_basis
 
 __all__ = [
     "CoefficientVector",
     "SensingProblem",
     "PreconditionedSystem",
-    "points_to_arrays",
     "build_matrix",
     "forward",
     "add_noise",
@@ -53,28 +52,14 @@ class CoefficientVector:
             )
 
 
-def points_to_arrays(points: list[SamplePoint]):
-    """(theta, phi, chi) arrays plus the common measure tag."""
-    if not points:
-        raise ValueError("empty point list")
-    measures = {p.measure for p in points}
-    if len(measures) != 1:
-        raise ValueError(f"mixed measures in point list: {measures}")
-    theta = np.array([p.theta for p in points])
-    phi = np.array([p.phi for p in points])
-    chi = np.array([p.chi for p in points])
-    return theta, phi, chi, measures.pop()
-
-
-def build_matrix(points: list[SamplePoint], B: int) -> np.ndarray:
+def build_matrix(samples: Samples, B: int) -> np.ndarray:
     """m x N matrix of raw Wigner-D evaluations in canonical column order."""
-    theta, phi, chi, _ = points_to_arrays(points)
-    return evaluate_basis(B, theta, phi, chi)
+    return evaluate_basis(B, samples.theta, samples.phi, samples.chi)
 
 
-def forward(g: CoefficientVector, points: list[SamplePoint]) -> np.ndarray:
+def forward(g: CoefficientVector, samples: Samples) -> np.ndarray:
     """Synthesize the bandlimited function at the sample points: y = A g."""
-    return build_matrix(points, g.B) @ g.values
+    return build_matrix(samples, g.B) @ g.values
 
 
 def add_noise(y: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.ndarray:
@@ -92,12 +77,10 @@ def add_noise(y: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.nda
 @dataclass
 class SensingProblem:
     A: np.ndarray          # m x N raw basis evaluations
-    P: np.ndarray          # length-m preconditioner weights
     y: np.ndarray          # length-m observations
     epsilon: float         # per-entry noise bound (inf-norm sense)
-    points: list[SamplePoint]
+    samples: Samples
     B: int
-    scale: float = 1.0     # conditioning factor applied by precondition()
 
     @property
     def m(self) -> int:
@@ -113,31 +96,30 @@ class PreconditionedSystem:
 
 
 def make_problem(
-    points: list[SamplePoint], B: int, y: np.ndarray, epsilon: float = 0.0
+    samples: Samples, B: int, y: np.ndarray, epsilon: float = 0.0
 ) -> SensingProblem:
-    theta, _, _, measure = points_to_arrays(points)
-    A = build_matrix(points, B)
-    P = preconditioner_weight(measure, theta)
-    return SensingProblem(A=A, P=P, y=np.asarray(y, dtype=complex),
-                          epsilon=float(epsilon), points=points, B=B)
+    return SensingProblem(A=build_matrix(samples, B), y=np.asarray(y, dtype=complex),
+                          epsilon=float(epsilon), samples=samples, B=B)
 
 
-def precondition(problem: SensingProblem) -> PreconditionedSystem:
+def precondition(
+    samples: Samples, A: np.ndarray, y: np.ndarray, epsilon: float = 0.0
+) -> PreconditionedSystem:
     """Preconditioned, conditioned system and the matching constraint radius.
 
-    The solved program is the ball-constrained one with radius
-    sqrt(m) * epsilon on the preconditioned system; both sides are then
+    Row i of A and entry i of y are multiplied by the preconditioner
+    weight P_i of sample i. The solved program is the ball-constrained one
+    with radius sqrt(m) * epsilon on that system; both sides are then
     multiplied by scale = sqrt(mass) / sqrt(m), which changes nothing in
-    the minimizer and makes columns near-unit-norm.
+    the minimizer and makes columns near-unit-norm. The inputs are not
+    modified.
     """
-    m = problem.m
-    _, _, _, measure = points_to_arrays(problem.points)
-    scale = math.sqrt(measure_mass(measure)) / math.sqrt(m)
-    problem.scale = scale
-    A_pre = scale * (problem.P[:, None] * problem.A)
-    y_pre = scale * (problem.P * problem.y)
-    radius = scale * math.sqrt(m) * problem.epsilon
-    return PreconditionedSystem(A=A_pre, y=y_pre, radius=radius, scale=scale)
+    m = len(samples)
+    scale = math.sqrt(measure_mass(samples.measure)) / math.sqrt(m)
+    P = preconditioner_weight(samples.measure, samples.theta)
+    return PreconditionedSystem(A=scale * (P[:, None] * A),
+                                y=scale * (P * np.asarray(y, dtype=complex)),
+                                radius=scale * math.sqrt(m) * epsilon, scale=scale)
 
 
 def gram_matrix(B: int, measure: str | None = None) -> np.ndarray:
@@ -180,11 +162,11 @@ def gram_matrix(B: int, measure: str | None = None) -> np.ndarray:
 def save_problem(directory, problem: SensingProblem) -> None:
     """Serialize to points.csv / y.csv / meta.json inside `directory`."""
     os.makedirs(directory, exist_ok=True)
-    _, _, _, measure = points_to_arrays(problem.points)
+    samples = problem.samples
     with open(os.path.join(directory, "points.csv"), "w") as fh:
         fh.write("theta,phi,chi,measure\n")
-        for p in problem.points:
-            fh.write(f"{p.theta:.17g},{p.phi:.17g},{p.chi:.17g},{p.measure}\n")
+        for t, p, c in zip(samples.theta, samples.phi, samples.chi):
+            fh.write(f"{t:.17g},{p:.17g},{c:.17g},{samples.measure}\n")
     with open(os.path.join(directory, "y.csv"), "w") as fh:
         fh.write("re,im\n")
         for v in problem.y:
@@ -193,8 +175,7 @@ def save_problem(directory, problem: SensingProblem) -> None:
         "B": problem.B,
         "m": problem.m,
         "epsilon": problem.epsilon,
-        "measure": measure,
-        "scale": problem.scale,
+        "measure": samples.measure,
     }
     with open(os.path.join(directory, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -202,20 +183,25 @@ def save_problem(directory, problem: SensingProblem) -> None:
 
 
 def load_problem(directory) -> SensingProblem:
+    """Read a problem written by save_problem; a points.csv that mixes
+    measures or names an unknown one is rejected with ValueError."""
     with open(os.path.join(directory, "meta.json")) as fh:
         meta = json.load(fh)
-    points = []
+    rows = []
     with open(os.path.join(directory, "points.csv")) as fh:
         next(fh)
         for line in fh:
             t, p, c, meas = line.strip().split(",")
-            points.append(SamplePoint(float(t), float(p), float(c), meas))
+            rows.append((float(t), float(p), float(c), meas))
+    measures = {row[3] for row in rows}
+    if len(measures) != 1:
+        raise ValueError(f"points.csv must hold one measure, found {sorted(measures)}")
+    theta, phi, chi = (np.array([row[i] for row in rows]) for i in range(3))
     ys = []
     with open(os.path.join(directory, "y.csv")) as fh:
         next(fh)
         for line in fh:
             re, im = line.strip().split(",")
             ys.append(complex(float(re), float(im)))
-    problem = make_problem(points, meta["B"], np.array(ys), meta["epsilon"])
-    problem.scale = meta.get("scale", 1.0)
-    return problem
+    samples = Samples(theta, phi, chi, measures.pop())
+    return make_problem(samples, meta["B"], np.array(ys), meta["epsilon"])

@@ -77,7 +77,7 @@ def test_recover_round_trip(tmp_path, capsys):
     B = 2
     N = basis_count(B)
     x = gen_sparse(N, 3, COMPLEX_GAUSSIAN, rng)
-    points = sampling.sample_product(rng, 60)
+    points = sampling.sample_points(sampling.PRODUCT, rng, 60)
     y = sensing.forward(sensing.CoefficientVector(B, x), points)
     problem = sensing.make_problem(points, B, y)
     pdir = tmp_path / "problem"

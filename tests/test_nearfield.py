@@ -18,7 +18,7 @@ from so3sparse.nearfield import (
     recover_transmission,
     transmission_forward,
 )
-from so3sparse.sampling import SamplePoint
+from so3sparse.sampling import Samples
 from so3sparse.sensing import build_matrix
 from so3sparse.solver import SolverConfig
 from so3sparse.wigner import WignerIndex, wigner_D
@@ -45,9 +45,9 @@ def test_coefficient_count_and_index_bijection():
 
 
 def test_schedule_rejects_undeclared_chi():
-    pt = SamplePoint(0.3, 0.1, 1.0, sampling.PRODUCT)
+    pt = Samples([0.3], [0.1], [1.0], sampling.PRODUCT)
     with pytest.raises(ValueError):
-        ProbeSchedule([pt], chi_set=(0.0, math.pi / 2))
+        ProbeSchedule(pt, chi_set=(0.0, math.pi / 2))
 
 
 def test_forward_zero():
@@ -64,9 +64,7 @@ def test_forward_single_atom():
     values[coefficient_index(1, 1, 0, 2)] = 1.0
     T = _coeffs(2, values, probe_weights=weights)
     y = transmission_forward(T, sched)
-    th, ph, ch = (np.array([p.theta for p in sched.points]),
-                  np.array([p.phi for p in sched.points]),
-                  np.array([p.chi for p in sched.points]))
+    th, ph, ch = sched.samples.theta, sched.samples.phi, sched.samples.chi
     expected = wigner_D(1, 0, -1, th, ph, ch) + wigner_D(1, 0, 1, th, ph, ch)
     np.testing.assert_allclose(y, expected, atol=1e-13)
 
@@ -78,7 +76,8 @@ def test_forward_matches_quadruple_loop():
     T = _coeffs(B, gen_sparse(coefficient_count(B), 4, COMPLEX_GAUSSIAN, rng))
     y = transmission_forward(T, sched)
     expected = np.zeros(5, dtype=complex)
-    for i, p in enumerate(sched.points):
+    pts = sched.samples
+    for i, (theta, phi, chi) in enumerate(zip(pts.theta, pts.phi, pts.chi)):
         for n in (-1, 1):
             for h in (1, 2):
                 for l in range(1, B + 1):
@@ -88,7 +87,7 @@ def test_forward_matches_quadruple_loop():
                         c = T.probe_weights[(h, n)]
                         t = T.values[coefficient_index(h, l, k, B)]
                         expected[i] += T.v * c * t * wigner_D(
-                            l, k, n, p.theta, p.phi, p.chi
+                            l, k, n, theta, phi, chi
                         )
     np.testing.assert_allclose(y, expected, atol=1e-12)
 
@@ -101,7 +100,7 @@ def test_dictionary_matches_weighted_sensing_matrices():
     sched = make_schedule(rng, 4)
     T = _coeffs(B)
     A = build_dictionary(T, sched)
-    full = build_matrix(sched.points, B + 1)
+    full = build_matrix(sched.samples, B + 1)
     for h in (1, 2):
         for l in range(1, B + 1):
             for k in range(-l, l + 1):

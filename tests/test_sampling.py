@@ -2,36 +2,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import beta
 from scipy.stats import chisquare, kstest
 
 from so3sparse import sampling
 from so3sparse.sampling import (
-    MeasureSpec,
-    build_cdf_table,
-    load_cdf_table,
+    Samples,
     preconditioner_weight,
-    sample_product,
-    sample_tan_measure,
-    save_cdf_table,
+    sample_points,
+    theta_cdf,
     theta_density,
+    theta_quantile,
 )
 
-
-@pytest.fixture(scope="module")
-def tan_spec():
-    return sampling.default_tan_spec()
+# the values rng.uniform(0, 1) can return, k * 2^-53, with 1 added
+UNIT = st.integers(0, 2**53).map(lambda k: k * 2.0**-53)
 
 
 def test_product_determinism():
-    a = sample_product(np.random.default_rng(11), 3)
-    b = sample_product(np.random.default_rng(11), 3)
-    assert a == b
+    a = sample_points(sampling.PRODUCT, np.random.default_rng(11), 3)
+    b = sample_points(sampling.PRODUCT, np.random.default_rng(11), 3)
+    for name in ("theta", "phi", "chi"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.measure == b.measure == sampling.PRODUCT
 
 
 def test_product_theta_statistics():
-    pts = sample_product(np.random.default_rng(0), 100_000)
-    theta = np.array([p.theta for p in pts])
+    theta = sample_points(sampling.PRODUCT, np.random.default_rng(0), 100_000).theta
     assert abs(theta.mean() - math.pi / 2) < 0.02
     stat, _ = kstest(theta, lambda t: t / math.pi)
     assert stat < 0.01
@@ -39,18 +39,48 @@ def test_product_theta_statistics():
 
 def test_product_rejects_bad_count():
     with pytest.raises(ValueError):
-        sample_product(np.random.default_rng(0), 0)
+        sample_points(sampling.PRODUCT, np.random.default_rng(0), 0)
 
 
-def test_tan_determinism(tan_spec):
-    a = sample_tan_measure(np.random.default_rng(5), 3, tan_spec)
-    b = sample_tan_measure(np.random.default_rng(5), 3, tan_spec)
-    assert a == b
+@pytest.mark.parametrize("measure", sampling.MEASURES)
+def test_sample_stream_is_pinned(measure):
+    # theta, phi and chi take m uniforms each, in that order, so that every
+    # later draw of a trial (support, nonzeros, noise) is unchanged
+    m = 7
+    rng = np.random.default_rng(123)
+    pts = sample_points(measure, rng, m)
+    ref = np.random.default_rng(123)
+    u = ref.uniform(0.0, 1.0, m)
+    np.testing.assert_array_equal(pts.phi, ref.uniform(0.0, 2 * math.pi, m))
+    np.testing.assert_array_equal(pts.chi, ref.uniform(0.0, 2 * math.pi, m))
+    np.testing.assert_array_equal(pts.theta, theta_quantile(measure, u))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    if measure == sampling.PRODUCT:
+        np.testing.assert_array_equal(pts.theta, math.pi * u)
+        theta_uniform = np.random.default_rng(123).uniform(0.0, math.pi, m)
+        np.testing.assert_array_equal(pts.theta, theta_uniform)
 
 
-def test_tan_theta_statistics(tan_spec):
-    pts = sample_tan_measure(np.random.default_rng(1), 100_000, tan_spec)
-    theta = np.array([p.theta for p in pts])
+def test_samples_rejects_malformed():
+    with pytest.raises(ValueError):
+        Samples([0.1], [0.2], [0.3], "uniform")
+    with pytest.raises(ValueError):
+        Samples([0.1, 0.2], [0.2], [0.3], sampling.PRODUCT)
+    with pytest.raises(ValueError):
+        Samples([], [], [], sampling.PRODUCT)
+    assert len(Samples([0.1, 0.2], [0.2, 0.3], [0.3, 0.4], sampling.TAN13)) == 2
+
+
+def test_tan_determinism():
+    a = sample_points(sampling.TAN13, np.random.default_rng(5), 3)
+    b = sample_points(sampling.TAN13, np.random.default_rng(5), 3)
+    for name in ("theta", "phi", "chi"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.measure == b.measure == sampling.TAN13
+
+
+def test_tan_theta_statistics():
+    theta = sample_points(sampling.TAN13, np.random.default_rng(1), 100_000).theta
     assert abs(np.mean(theta < math.pi / 2) - 0.5) < 0.01
     # density mass near pi/2 exceeds mass near pi/4 (quadrature oracle)
     w = 0.1
@@ -88,68 +118,50 @@ def test_preconditioning_identity():
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-12
 
 
-def test_cdf_table_endpoints(tan_spec):
-    assert tan_spec.cdf[0] == 0.0
-    assert tan_spec.cdf[-1] == 1.0
-    mid = tan_spec.cdf_at(math.pi / 2)
-    assert mid == pytest.approx(0.5, abs=1e-9)
+def test_cdf_table_endpoints():
+    def F(t):
+        return float(theta_cdf(sampling.TAN13, t))
+
+    assert F(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert F(math.pi) == pytest.approx(1.0, abs=1e-12)
+    assert F(math.pi / 2) == pytest.approx(0.5, abs=1e-12)
     # frozen 1e-12-tolerance quadrature oracle
-    assert tan_spec.cdf_at(math.pi / 4) == pytest.approx(
-        0.15446198264429567, abs=1e-9
-    )
+    assert F(math.pi / 4) == pytest.approx(0.15446198264429567, abs=1e-12)
 
 
-def test_cdf_round_trip(tan_spec):
+def test_cdf_round_trip():
     u = np.random.default_rng(2).uniform(0.005, 0.995, 1000)
-    back = tan_spec.cdf_at(tan_spec.inverse_cdf(u))
-    # forward and inverse are two independent monotone interpolants over
-    # 4096 nodes; their composition is accurate to ~1e-5, not machine level
-    np.testing.assert_allclose(back, u, atol=5e-5)
+    back = theta_cdf(sampling.TAN13, theta_quantile(sampling.TAN13, u))
+    np.testing.assert_allclose(back, u, rtol=0, atol=1e-12)
 
 
-def test_build_rejects_small_resolution():
-    with pytest.raises(ValueError):
-        build_cdf_table(100)
-
-
-def test_cdf_binary_cache_round_trip(tmp_path, tan_spec):
-    path = tmp_path / "tan13.cdf"
-    save_cdf_table(tan_spec, path)
-    loaded = load_cdf_table(path)
-    assert loaded.kind == sampling.TAN13
-    np.testing.assert_array_equal(loaded.thetas, tan_spec.thetas)
-    np.testing.assert_array_equal(loaded.cdf, tan_spec.cdf)
-    assert path.read_bytes()[:8] == b"WCSCDF01"
-
-
-def test_cdf_cache_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.cdf"
-    path.write_bytes(b"NOTMAGIC" + b"\0" * 24)
-    with pytest.raises(ValueError):
-        load_cdf_table(path)
-
-
-def test_spec_rejects_non_monotone():
-    with pytest.raises(ValueError):
-        MeasureSpec(sampling.TAN13, np.array([0.0, 0.5, 0.4]),
-                    np.array([0.0, 0.5, 1.0]))
+@pytest.mark.parametrize("measure", sampling.MEASURES)
+@given(u1=UNIT, u2=UNIT)
+def test_quantile_properties(measure, u1, u2):
+    lo, hi = sorted((u1, u2))
+    q_lo, q_hi = theta_quantile(measure, lo), theta_quantile(measure, hi)
+    assert 0.0 <= q_lo <= math.pi and 0.0 <= q_hi <= math.pi
+    # betaincinv is accurate to about an ulp but not monotone at that level
+    assert q_lo <= q_hi + 4 * np.spacing(math.pi)
+    back = theta_cdf(measure, q_lo)
+    if abs(lo - 0.5) > 1e-8:
+        assert abs(back - lo) <= 1e-12
+    # within ~1e-8 of u = 1/2 the tan13 CDF rises by more than 1e-12 from one
+    # float theta to the next (its slope is infinite at pi/2), so there the
+    # round trip asks that u lie between the CDF at the neighbouring floats
+    below = theta_cdf(measure, np.nextafter(q_lo, 0.0))
+    above = theta_cdf(measure, np.nextafter(q_lo, math.pi))
+    assert below - 1e-12 <= lo <= above + 1e-12
+    assert theta_quantile(measure, 0.5) == math.pi / 2
 
 
 @pytest.mark.parametrize("measure", [sampling.PRODUCT, sampling.TAN13])
-def test_chi_square_goodness_of_fit(measure, tan_spec):
+def test_chi_square_goodness_of_fit(measure):
     m, bins = 100_000, 64
-    rng = np.random.default_rng(9)
-    if measure == sampling.PRODUCT:
-        theta = np.array([p.theta for p in sample_product(rng, m)])
-        edges = np.linspace(0, math.pi, bins + 1)
-        expected = np.full(bins, m / bins)
-    else:
-        theta = np.array([p.theta for p in sample_tan_measure(rng, m, tan_spec)])
-        edges = np.asarray(tan_spec.inverse_cdf(np.linspace(0, 1, bins + 1)))
-        edges[0], edges[-1] = 0.0, math.pi
-        expected = np.full(bins, m / bins)
+    theta = sample_points(measure, np.random.default_rng(9), m).theta
+    edges = theta_quantile(measure, np.linspace(0, 1, bins + 1))
     counts, _ = np.histogram(theta, bins=edges)
-    _, pvalue = chisquare(counts, expected)
+    _, pvalue = chisquare(counts, np.full(bins, m / bins))
     assert pvalue > 1e-3
 
 
@@ -160,3 +172,4 @@ def test_measure_mass_values():
     assert sampling.measure_mass(sampling.TAN13) == pytest.approx(
         3.627598728468277 * 4 * math.pi**2, rel=1e-12
     )
+    assert sampling.TAN13_THETA_MASS == pytest.approx(beta(2 / 3, 1 / 3), rel=1e-15)

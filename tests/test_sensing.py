@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from so3sparse import sampling
-from so3sparse.sampling import SamplePoint
+from so3sparse.sampling import Samples, preconditioner_weight
 from so3sparse.sensing import (
     CoefficientVector,
     add_noise,
@@ -19,13 +20,12 @@ from so3sparse.wigner import all_indices, basis_count, wigner_D
 
 
 def _points(rng, m, measure=sampling.PRODUCT):
-    return sampling.sample_product(rng, m) if measure == sampling.PRODUCT \
-        else sampling.sample_tan_measure(rng, m)
+    return sampling.sample_points(measure, rng, m)
 
 
 def test_build_matrix_constant_basis():
-    pt = SamplePoint(0.4, 1.0, 2.0, sampling.PRODUCT)
-    A = build_matrix([pt], 1)
+    pt = Samples([0.4], [1.0], [2.0], sampling.PRODUCT)
+    A = build_matrix(pt, 1)
     assert A.shape == (1, 1)
     assert A[0, 0] == pytest.approx(1 / math.sqrt(8 * math.pi**2))
 
@@ -36,14 +36,14 @@ def test_build_matrix_shape_B5():
 
 
 def test_build_matrix_identical_points():
-    pt = SamplePoint(1.1, 0.2, 0.3, sampling.PRODUCT)
-    A = build_matrix([pt, pt], 3)
+    pts = Samples([1.1, 1.1], [0.2, 0.2], [0.3, 0.3], sampling.PRODUCT)
+    A = build_matrix(pts, 3)
     np.testing.assert_array_equal(A[0], A[1])
 
 
 def test_build_matrix_rejects_empty():
     with pytest.raises(ValueError):
-        build_matrix([], 2)
+        build_matrix(Samples([], [], [], sampling.PRODUCT), 2)
 
 
 def test_forward_unit_vector():
@@ -74,8 +74,8 @@ def test_forward_matches_term_by_term_sum():
         c = g[idx.column]
         if c == 0:
             continue
-        for i, p in enumerate(pts):
-            expected[i] += c * wigner_D(idx.l, idx.k, idx.n, p.theta, p.phi, p.chi)
+        for i, (t, p, ch) in enumerate(zip(pts.theta, pts.phi, pts.chi)):
+            expected[i] += c * wigner_D(idx.l, idx.k, idx.n, t, p, ch)
     np.testing.assert_allclose(y, expected, atol=1e-12)
 
 
@@ -114,18 +114,19 @@ def test_add_noise_determinism():
 
 
 def test_precondition_equator_points():
-    pts = [SamplePoint(math.pi / 2, p, 0.1, sampling.PRODUCT) for p in (0.1, 0.5, 2.0)]
+    pts = Samples([math.pi / 2] * 3, [0.1, 0.5, 2.0], [0.1] * 3, sampling.PRODUCT)
     prob = make_problem(pts, 2, np.ones(3, dtype=complex))
-    sysm = precondition(prob)
-    np.testing.assert_allclose(prob.P, 1.0, atol=1e-12)
+    sysm = precondition(pts, prob.A, prob.y)
+    np.testing.assert_allclose(preconditioner_weight(pts.measure, pts.theta), 1.0,
+                               atol=1e-12)
     np.testing.assert_allclose(sysm.A, sysm.scale * prob.A, atol=1e-12)
     assert sysm.radius == 0.0
 
 
 def test_precondition_single_row_weight():
-    pt = SamplePoint(math.pi / 6, 0.3, 0.4, sampling.PRODUCT)
-    prob = make_problem([pt], 2, np.ones(1, dtype=complex))
-    sysm = precondition(prob)
+    pt = Samples([math.pi / 6], [0.3], [0.4], sampling.PRODUCT)
+    prob = make_problem(pt, 2, np.ones(1, dtype=complex))
+    sysm = precondition(pt, prob.A, prob.y)
     np.testing.assert_allclose(
         sysm.A[0], sysm.scale * math.sqrt(0.5) * prob.A[0], atol=1e-12
     )
@@ -136,8 +137,8 @@ def test_column_near_isometry():
     B = 2
     N = basis_count(B)
     for seed in range(5):
-        pts = sampling.sample_product(np.random.default_rng(seed), 50 * N)
-        sysm = precondition(make_problem(pts, B, np.zeros(50 * N)))
+        pts = _points(np.random.default_rng(seed), 50 * N)
+        sysm = precondition(pts, build_matrix(pts, B), np.zeros(50 * N))
         norms2 = np.linalg.norm(sysm.A, axis=0) ** 2
         assert np.all(np.abs(norms2 - 1.0) < 0.2)
 
@@ -153,7 +154,41 @@ def test_problem_serialization_round_trip(tmp_path):
     assert loaded.B == B and loaded.epsilon == 0.01
     np.testing.assert_allclose(loaded.y, prob.y, atol=0)
     np.testing.assert_allclose(loaded.A, prob.A, atol=0)
-    assert [p.measure for p in loaded.points] == [p.measure for p in pts]
+    assert loaded.samples.measure == pts.measure
+    np.testing.assert_array_equal(loaded.samples.theta, pts.theta)
+
+
+def test_precondition_leaves_inputs_unchanged():
+    rng = np.random.default_rng(8)
+    pts = _points(rng, 6, sampling.TAN13)
+    A = build_matrix(pts, 2)
+    y = A @ rng.standard_normal(basis_count(2))
+    before = [a.copy() for a in (A, y, pts.theta, pts.phi, pts.chi)]
+    sysm = precondition(pts, A, y, 0.01)
+    for a, b in zip((A, y, pts.theta, pts.phi, pts.chi), before):
+        np.testing.assert_array_equal(a, b)
+    assert not np.shares_memory(sysm.A, A) and not np.shares_memory(sysm.y, y)
+    assert pts.measure == sampling.TAN13
+    P = preconditioner_weight(pts.measure, pts.theta)
+    np.testing.assert_allclose(sysm.A, sysm.scale * P[:, None] * A, rtol=1e-14)
+    assert sysm.radius == pytest.approx(sysm.scale * math.sqrt(6) * 0.01, rel=1e-15)
+
+
+def test_load_problem_rejects_mixed_measures_and_ignores_scale(tmp_path):
+    pts = _points(np.random.default_rng(9), 3)
+    save_problem(tmp_path, make_problem(pts, 1, np.ones(3)))
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert "scale" not in meta
+    # meta.json files written before scale was dropped still load
+    (tmp_path / "meta.json").write_text(json.dumps({**meta, "scale": 2.5}))
+    assert load_problem(tmp_path).samples.measure == sampling.PRODUCT
+    text = (tmp_path / "points.csv").read_text()
+    mixed = text.replace("product\n", "tan13\n", 1)
+    unknown = text.replace("product", "uniform")
+    for bad in (mixed, unknown):
+        (tmp_path / "points.csv").write_text(bad)
+        with pytest.raises(ValueError):
+            load_problem(tmp_path)
 
 
 def test_coefficient_vector_validates_length():
