@@ -19,7 +19,7 @@ import numpy as np
 from . import sampling
 from .sensing import add_noise, build_matrix, precondition
 from .solver import SolverConfig, bpdn_ball
-from .wigner import _norm_factor, basis_count, wigner_d
+from .wigner import _SLICE, _norm_factor, _wigner_d_lanes, basis_count
 
 REAL_GAUSSIAN = "RealGaussian"
 COMPLEX_GAUSSIAN = "ComplexGaussian"
@@ -175,51 +175,60 @@ def contour_half_success(grid: PhaseTransitionGrid) -> list[float]:
     return out
 
 
-def _mu_lam_pairs(l: int):
-    """Distinct (mu, lam) of valid (k, n) at degree l: both non-negative,
-    equal parity, mu + lam <= 2l."""
-    for mu in range(0, 2 * l + 1):
-        for lam in range(mu % 2, 2 * l + 1 - mu, 2):
-            yield mu, lam
+def _degree_sups(l_max: int, coarse: int) -> np.ndarray:
+    """Per degree l <= l_max, the sup over (k, n) and theta of
+    (sin theta)^{1/2} |d_l^{k,n}|.
 
-
-def _refined_sup(f, lo: float, hi: float, coarse: int) -> float:
-    """Maximize f on [lo, hi]: coarse grid then two local refinements."""
-    grid = np.linspace(lo, hi, coarse)
-    vals = f(grid)
-    best = int(np.argmax(vals))
-    sup = float(vals[best])
-    for _ in range(2):
-        a = grid[max(best - 1, 0)]
-        b = grid[min(best + 1, len(grid) - 1)]
-        grid = np.linspace(a, b, 65)
-        vals = f(grid)
-        best = int(np.argmax(vals))
-        sup = max(sup, float(vals[best]))
-    return sup
-
-
-def _precond_d_sup(l: int, mu: int, lam: int, coarse: int = 4096) -> float:
-    """sup over theta of (sin theta)^{1/2} |d_l^{k,n}| for the (mu, lam) class."""
-    k = (mu + lam) // 2
-    n = (lam - mu) // 2
-    f = lambda th: np.sqrt(np.sin(th)) * np.abs(wigner_d(l, k, n, th))
-    return _refined_sup(f, 0.0, math.pi, coarse)
+    |d_l^{k,n}| depends on (k, n) only through (|k - n|, |k + n|); the lane
+    k >= |n| stands for each such class. Every class is maximized on a coarse
+    theta grid, then twice on 65 points spanning the neighbours of its best
+    point. The coarse grid goes through the recurrence _SLICE points at a
+    time.
+    """
+    if coarse < 3:
+        raise ValueError(f"coarse grid needs >= 3 points, got {coarse}")
+    degrees = np.arange(l_max + 1)
+    k = np.repeat(degrees, 2 * degrees + 1)
+    n = np.concatenate([np.arange(-j, j + 1) for j in degrees])
+    grid = np.linspace(0.0, math.pi, coarse)
+    weight = np.sqrt(np.sin(grid))
+    best = [np.zeros((l + 1) ** 2, dtype=int) for l in degrees]
+    peak = [np.full((l + 1) ** 2, -1.0) for l in degrees]
+    for s in range(0, coarse, _SLICE):
+        for l, d in _wigner_d_lanes(k, n, grid[s:s + _SLICE], l_max):
+            f = np.abs(d)
+            f *= weight[s:s + _SLICE]
+            i = f.argmax(axis=1)
+            v = f[np.arange(len(i)), i]
+            up = v > peak[l]       # ties keep the earlier point, as argmax does
+            best[l][up] = s + i[up]
+            peak[l][up] = v[up]
+    sups = np.empty(l_max + 1)
+    for l in degrees:
+        lanes = np.arange((l + 1) ** 2)
+        g, i, sup = np.broadcast_to(grid, (len(lanes), coarse)), best[l], peak[l]
+        for _ in range(2):
+            g = np.linspace(g[lanes, np.maximum(i - 1, 0)],
+                            g[lanes, np.minimum(i + 1, g.shape[1] - 1)], 65, axis=1)
+            *_, (_, d) = _wigner_d_lanes(k[lanes], n[lanes], g, l)
+            f = np.sqrt(np.sin(g)) * np.abs(d)
+            i = f.argmax(axis=1)
+            sup = np.maximum(sup, f[lanes, i])
+        sups[l] = sup.max()
+    return sups
 
 
 def bound_scan(B_list: list[int], coarse: int = 4096):
     """For each bandwidth, the sup of the preconditioned |Wigner-D| over the
     whole basis, plus the log-log slope of sup versus basis size."""
-    per_l_sup: dict[int, float] = {}
-    rows = []
-    for B in sorted(B_list):
-        for l in range(B):
-            if l not in per_l_sup:
-                per_l_sup[l] = max(
-                    _precond_d_sup(l, mu, lam, coarse) for mu, lam in _mu_lam_pairs(l)
-                ) * _norm_factor(l)
-        sup = max(per_l_sup[l] for l in range(B))
-        rows.append((B, basis_count(B), sup))
+    if not B_list or min(B_list) < 1:
+        raise ValueError(f"bandwidths must be >= 1, got {B_list}")
+    if len(set(B_list)) != len(B_list):
+        raise ValueError(f"bandwidths repeat a value: {B_list}")
+    B_list = sorted(B_list)
+    sups = _degree_sups(B_list[-1] - 1, coarse)
+    per_l_sup = [float(sups[l]) * _norm_factor(l) for l in range(B_list[-1])]
+    rows = [(B, basis_count(B), max(per_l_sup[:B])) for B in B_list]
     logN = np.log([r[1] for r in rows])
     logS = np.log([r[2] for r in rows])
     slope = float(np.polyfit(logN, logS, 1)[0]) if len(rows) > 1 else float("nan")
@@ -229,8 +238,6 @@ def bound_scan(B_list: list[int], coarse: int = 4096):
 def weighted_sup_profile(l_max: int, coarse: int = 2048) -> np.ndarray:
     """Per degree l <= l_max, sup over (k, n) and theta of
     (sin theta)^{1/2} |d_l^{k,n}| * (2l+1)^{1/4}."""
-    out = np.empty(l_max + 1)
-    for l in range(l_max + 1):
-        sup = max(_precond_d_sup(l, mu, lam, coarse) for mu, lam in _mu_lam_pairs(l))
-        out[l] = sup * (2 * l + 1) ** 0.25
-    return out
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max}")
+    return _degree_sups(l_max, coarse) * (2 * np.arange(l_max + 1) + 1) ** 0.25

@@ -21,7 +21,7 @@ from . import sampling
 from .sampling import Samples
 from .sensing import precondition
 from .solver import SolverConfig, SolverResult, bpdn_ball
-from .wigner import wigner_D
+from .wigner import basis_count, evaluate_basis
 
 __all__ = [
     "TransmissionCoefficients",
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_CHI_SET = (0.0, math.pi / 2)
+_WIGNER_ENTRIES_PER_PASS = 1 << 16   # Wigner-D entries build_dictionary holds at once (1 MB)
 
 
 def coefficient_count(B: int) -> int:
@@ -116,22 +117,30 @@ def make_schedule(
 
 def build_dictionary(T: TransmissionCoefficients, schedule: ProbeSchedule) -> np.ndarray:
     """m x 2B(B+2) matrix whose (h, l, k) column is
-    v * sum_n c_{h,n} D_l^{k,n} at the probe points (orders |n| > l skipped)."""
+    v * sum_n c_{h,n} D_l^{k,n} at the probe points (orders |n| > l skipped),
+    combined from the columns of the bandwidth-(B+1) Wigner-D matrix. Only
+    its |n| <= v_max columns are used, so it is evaluated a few rows at a
+    time."""
     pts = schedule.samples
-    m = len(pts)
-    A = np.zeros((m, coefficient_count(T.B)), dtype=complex)
+    # degree and order of each coefficient position l*l - 1 + k + l of a block
+    l = np.repeat(np.arange(1, T.B + 1), 2 * np.arange(1, T.B + 1) + 1)
+    k = np.arange(len(l)) + 1 - l * l - l
+    col_n0 = l * (2 * l - 1) * (2 * l + 1) // 3 + (k + l) * (2 * l + 1) + l
+    terms = []   # (dictionary columns, Wigner-D columns, c_{h,n})
     for h in (1, 2):
-        for l in range(1, T.B + 1):
-            for k in range(-l, l + 1):
-                col = np.zeros(m, dtype=complex)
-                for n in range(-T.v_max, T.v_max + 1):
-                    if n == 0 or abs(n) > l:
-                        continue
-                    c = T.probe_weights.get((h, n), 0.0)
-                    if c != 0.0:
-                        col += c * wigner_D(l, k, n, pts.theta, pts.phi, pts.chi)
-                A[:, coefficient_index(h, l, k, T.B)] = T.v * col
-    return A
+        for n in range(-T.v_max, T.v_max + 1):
+            c = T.probe_weights.get((h, n), 0.0)
+            if n != 0 and c != 0.0:
+                first = n * n - 1   # position of (l, k) = (|n|, -|n|)
+                terms.append((slice((h - 1) * len(l) + first, h * len(l)), col_n0[first:] + n, c))
+    A = np.zeros((len(pts), coefficient_count(T.B)), dtype=complex)
+    step = max(1, _WIGNER_ENTRIES_PER_PASS // basis_count(T.B + 1))
+    for start in range(0, len(pts), step):
+        rows = slice(start, start + step)
+        D = evaluate_basis(T.B + 1, pts.theta[rows], pts.phi[rows], pts.chi[rows])
+        for cols, src, c in terms:
+            A[rows, cols] += c * D[:, src]
+    return T.v * A
 
 
 def transmission_forward(

@@ -133,6 +133,8 @@ def gram_matrix(B: int, measure: str | None = None) -> np.ndarray:
     weight^2 * density is absorbed); phi and chi use uniform 4B-point
     grids, exact for the trigonometric frequencies present.
     """
+    if B < 1:
+        raise ValueError(f"bandwidth must be >= 1, got {B}")
     x, wx = np.polynomial.legendre.leggauss(B + 1)
     theta = np.arccos(x)
     if measure is None:
@@ -155,8 +157,11 @@ def gram_matrix(B: int, measure: str | None = None) -> np.ndarray:
 
     tt, pp, cc = np.meshgrid(theta, phi, chi, indexing="ij")
     ww = np.broadcast_to(w_theta[:, None, None], tt.shape).ravel() * w_ang
+    # quadrature weights are positive: scale the rows by their square roots
+    # in place, so the only other matrix-sized array is the conjugate
     F = evaluate_basis(B, tt.ravel(), pp.ravel(), cc.ravel())
-    return F.conj().T @ (ww[:, None] * F)
+    F *= np.sqrt(ww)[:, None]
+    return F.conj().T @ F
 
 
 def save_problem(directory, problem: SensingProblem) -> None:
@@ -183,8 +188,9 @@ def save_problem(directory, problem: SensingProblem) -> None:
 
 
 def load_problem(directory) -> SensingProblem:
-    """Read a problem written by save_problem; a points.csv that mixes
-    measures or names an unknown one is rejected with ValueError."""
+    """Read a problem written by save_problem. A points.csv that mixes
+    measures or names an unknown one, or a y.csv whose row count differs
+    from points.csv or from meta.json's m, is rejected with ValueError."""
     with open(os.path.join(directory, "meta.json")) as fh:
         meta = json.load(fh)
     rows = []
@@ -203,5 +209,10 @@ def load_problem(directory) -> SensingProblem:
         for line in fh:
             re, im = line.strip().split(",")
             ys.append(complex(float(re), float(im)))
+    if not len(ys) == len(rows) == meta["m"]:
+        raise ValueError(
+            f"y.csv has {len(ys)} rows and points.csv {len(rows)}, "
+            f"meta.json m={meta['m']}; all three must agree"
+        )
     samples = Samples(theta, phi, chi, measures.pop())
     return make_problem(samples, meta["B"], np.array(ys), meta["epsilon"])

@@ -170,34 +170,106 @@ def spherical_harmonic(l: int, k: int, theta, phi):
     return sign * math.sqrt(2.0 * math.pi) * wigner_D(l, -k, 0, theta, phi, 0.0)
 
 
+_SLICE = 512  # points per run of _wigner_d_lanes: keeps its working arrays small
+
+
+def _wigner_d_lanes(k, n, theta, l_max: int):
+    """Yield (l, d) for l = 0..l_max, where row i of d is d_l^{k_i, n_i}(theta)
+    for every lane i with max(|k_i|, |n_i|) <= l.
+
+    Lanes must come sorted by l0 = max(|k|, |n|), so the lanes defined at
+    degree l are the first rows; d is a view that the next step overwrites.
+    theta is one grid shared by every lane, or one grid per lane (shape
+    (lanes, points)). Each lane starts at its l0 from the alpha = 0 closed
+    form of wigner_d and climbs by the three-term recurrence in the degree
+    (Kostelec & Rockmore 2008, FFTs on the Rotation Group):
+
+        d_l = a_l (cos theta - k n / (l (l-1))) d_{l-1} - c_l d_{l-2},
+        a_l = l (2l-1) / r_l,  c_l = l r_{l-1} / ((l-1) r_l),
+        r_l = sqrt((l^2 - k^2)(l^2 - n^2)).
+    """
+    k = np.asarray(k)
+    n = np.asarray(n)
+    theta = np.asarray(theta, dtype=float)
+    shape = (len(k), theta.shape[-1])
+    x, half_sin, half_cos = (np.broadcast_to(v, shape) for v in
+                             (np.cos(theta), np.sin(0.5 * theta), np.cos(0.5 * theta)))
+    # lanes [starts[l], starts[l + 1]) have l0 = l
+    starts = np.searchsorted(np.maximum(np.abs(k), np.abs(n)), np.arange(l_max + 2))
+    mu = np.abs(k - n)
+    lam = np.abs(k + n)
+    omega = np.where((n >= k) | ((n - k) % 2 == 0), 1.0, -1.0)
+    seed_norm = omega * np.exp(
+        0.5 * (gammaln(mu + lam + 1) - gammaln(mu + 1) - gammaln(lam + 1))
+    )
+    k2, n2, kn = k * k, n * n, k * n
+    cur, prev, tmp = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    for l in range(l_max + 1):
+        a, hi = starts[l], starts[l + 1]
+        if a:
+            # advance lanes [0, a) from degree l - 1 to l; at l = 1 they all
+            # have k = n = 0 and c_l multiplies d_{-1} = 0
+            r = np.sqrt((l * l - k2[:a]) * (l * l - n2[:a]))
+            scale = l * (2 * l - 1) / r
+            if l > 1:
+                shift = kn[:a] / (l * (l - 1))
+                r_prev = np.sqrt(((l - 1) ** 2 - k2[:a]) * ((l - 1) ** 2 - n2[:a]))
+                back = l * r_prev / ((l - 1) * r)
+            else:
+                shift = back = np.zeros(a)
+            t = tmp[:a]
+            np.subtract(x[:a], shift[:, None], out=t)
+            t *= cur[:a]
+            t *= scale[:, None]
+            p = prev[:a]
+            p *= back[:, None]
+            np.subtract(t, p, out=p)
+            prev, cur = cur, prev
+        if hi > a:
+            new = slice(a, hi)
+            cur[new] = (seed_norm[new, None] * half_sin[new] ** mu[new, None]
+                        * half_cos[new] ** lam[new, None])
+        yield l, cur[:hi]
+
+
 def evaluate_basis(B: int, theta, phi, chi) -> np.ndarray:
     """Dense (npoints, N) matrix of all Wigner-D functions of degree l < B.
 
-    Columns follow the canonical linearization. The theta-dependent factor
-    is shared between (k, n) and its order-swap, so each d-profile is
-    computed once.
+    Columns follow the canonical linearization. One run of the degree
+    recurrence gives the real d-table of every order pair (k, n); degree l
+    is then written as one block N_l e^{-jk phi} d_l^{k,n} e^{-jn chi} from
+    the phase tables.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    chi = np.atleast_1d(np.asarray(chi, dtype=float))
+    theta, phi, chi = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (theta, phi, chi))
+    if not (theta.ndim == 1 and theta.shape == phi.shape == chi.shape):
+        raise ValueError(
+            "theta, phi, chi must be 1-D of equal length, got shapes "
+            f"{theta.shape}, {phi.shape}, {chi.shape}"
+        )
+    if np.any((theta < 0) | (theta > np.pi)):
+        raise ValueError("theta outside [0, pi]")
     npts = theta.shape[0]
     out = np.empty((npts, basis_count(B)), dtype=complex)
-    for l in range(B):
-        nl = _norm_factor(l)
-        # phase tables e^{-j k phi}, e^{-j n chi} for k, n in [-l, l]
-        orders = np.arange(-l, l + 1)
-        ephi = np.exp(-1j * np.outer(phi, orders))
-        echi = np.exp(-1j * np.outer(chi, orders))
-        d_cache: dict[tuple[int, int], np.ndarray] = {}
-        base = l * (2 * l - 1) * (2 * l + 1) // 3
-        for ik, k in enumerate(orders):
-            for i_n, n in enumerate(orders):
-                key = (min(k, n), max(k, n))
-                if key not in d_cache:
-                    d_cache[key] = wigner_d(l, key[0], key[1], theta)
-                d = d_cache[key]
-                if n < k and (k - n) % 2 == 1:
-                    d = -d
-                j = base + ik * (2 * l + 1) + i_n
-                out[:, j] = nl * ephi[:, ik] * echi[:, i_n] * d
+    L = B - 1
+    orders = np.arange(-L, L + 1)
+    kk, nn = np.meshgrid(orders, orders, indexing="ij")
+    # lane i holds the order pair at flat (k, n) position lane_pos[i]; slot
+    # maps (k + L, n + L) back to its lane
+    lane_pos = np.argsort(np.maximum(np.abs(kk), np.abs(nn)), axis=None, kind="stable")
+    slot = np.empty_like(lane_pos)
+    slot[lane_pos] = np.arange(lane_pos.size)
+    slot = slot.reshape(kk.shape)
+    k, n = kk.ravel()[lane_pos], nn.ravel()[lane_pos]
+    for start in range(0, npts, _SLICE):
+        rows = slice(start, start + _SLICE)
+        ephi = np.exp(-1j * np.outer(phi[rows], orders))
+        echi = np.exp(-1j * np.outer(chi[rows], orders))
+        for l, d in _wigner_d_lanes(k, n, theta[rows], L):
+            w = 2 * l + 1
+            o = slice(L - l, L + l + 1)
+            base = l * (2 * l - 1) * (2 * l + 1) // 3
+            # a column range of a C-ordered matrix reshapes to a view
+            block = out[rows, base:base + w * w].reshape(len(ephi), w, w)
+            np.multiply((_norm_factor(l) * ephi[:, o])[:, :, None], echi[:, None, o], out=block)
+            block *= d[slot[o, o]].transpose(2, 0, 1)
     return out

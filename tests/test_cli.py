@@ -41,6 +41,20 @@ def test_gram_reports_orthonormal(capsys):
     assert max_off < 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    ["gram", "--B", "0"],
+    ["bound-scan", "--B-list", "0,4"],
+    ["bound-scan", "--B-list", "4,4"],
+    ["bound-scan", "--B-list", "2,4", "--grid", "1"],
+])
+def test_invalid_kernel_inputs_exit_code(argv, tmp_path, capsys):
+    if argv[0] == "bound-scan":
+        argv = argv + ["--output-dir", str(tmp_path / "scan")]
+    assert cli.run(argv) == 1
+    assert "error: config:" in capsys.readouterr().err
+    assert not (tmp_path / "scan" / "bounds.csv").exists()
+
+
 def test_unknown_flag_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.run(["eval", "--l", "0", "--nope", "1"])

@@ -114,6 +114,37 @@ def test_bound_scan_monotone_in_B():
     assert 0.0 < slope < 0.2
 
 
+def test_bound_scan_frozen_values():
+    # frozen oracle from the per-class Jacobi scan this one replaced
+    rows, slope = bound_scan([2, 4, 8], coarse=1024)
+    assert [r[:2] for r in rows] == [(2, 10), (4, 84), (8, 680)]
+    expected = [0.1402382193832275, 0.17109484385870619, 0.2059879595014548]
+    for (_, _, sup), want in zip(rows, expected):
+        assert sup == pytest.approx(want, rel=1e-12)
+    assert slope == pytest.approx(0.09112534630115364, rel=1e-12)
+
+
+def test_weighted_sup_profile_frozen_values():
+    prof = weighted_sup_profile(6, coarse=1024)
+    expected = [1.0, 0.9468494720561625, 0.9382166700834901, 0.934667793065065,
+                0.9327328405434231, 0.9315147196747422, 0.9306773151315975]
+    np.testing.assert_allclose(prof, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("B_list, coarse", [
+    ([], 64), ([0, 4], 64), ([4, 4], 64), ([2, 4], 2), ([2, 4], 1),
+])
+def test_bound_scan_rejects_bad_inputs(B_list, coarse):
+    with pytest.raises(ValueError):
+        bound_scan(B_list, coarse=coarse)
+
+
+@pytest.mark.parametrize("l_max, coarse", [(-1, 64), (3, 2)])
+def test_weighted_sup_profile_rejects_bad_inputs(l_max, coarse):
+    with pytest.raises(ValueError):
+        weighted_sup_profile(l_max, coarse=coarse)
+
+
 def test_weighted_sup_profile_small():
     prof = weighted_sup_profile(6, coarse=1024)
     # boundedness across degrees: no growth beyond the low-degree maximum

@@ -114,6 +114,29 @@ def test_dictionary_matches_weighted_sensing_matrices():
                 )
 
 
+def test_dictionary_matches_per_column_sum_v_max_2():
+    # orders |n| = 2 exist only from l = 2 on, so degree 1 skips them
+    rng = np.random.default_rng(9)
+    B, v_max, v = 3, 2, 0.5 - 2j
+    weights = {(1, -2): 0.3 - 1j, (1, -1): 1.0, (1, 1): -0.7j, (1, 2): 2.0,
+               (2, -2): 1j, (2, -1): 0.4, (2, 1): -1.5 + 0.2j, (2, 2): -0.6,
+               (1, 3): 5.0, (2, 0): 7.0}  # |n| > v_max and n = 0 are never used
+    sched = make_schedule(rng, 6)
+    T = _coeffs(B, v=v, v_max=v_max, probe_weights=weights)
+    A = build_dictionary(T, sched)
+    pts = sched.samples
+    for h in (1, 2):
+        for l in range(1, B + 1):
+            for k in range(-l, l + 1):
+                col = np.zeros(6, dtype=complex)
+                for n in (-2, -1, 1, 2):
+                    if abs(n) <= l:
+                        col += weights[(h, n)] * wigner_D(l, k, n, pts.theta, pts.phi, pts.chi)
+                np.testing.assert_allclose(
+                    A[:, coefficient_index(h, l, k, B)], v * col, rtol=0, atol=1e-13
+                )
+
+
 def test_probe_weight_condition_finite():
     assert _coeffs(2).weight_condition() < 10.0
 

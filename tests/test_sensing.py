@@ -11,6 +11,7 @@ from so3sparse.sensing import (
     add_noise,
     build_matrix,
     forward,
+    gram_matrix,
     load_problem,
     make_problem,
     precondition,
@@ -189,6 +190,33 @@ def test_load_problem_rejects_mixed_measures_and_ignores_scale(tmp_path):
         (tmp_path / "points.csv").write_text(bad)
         with pytest.raises(ValueError):
             load_problem(tmp_path)
+
+
+def test_gram_matrix_rejects_zero_bandwidth():
+    with pytest.raises(ValueError):
+        gram_matrix(0)
+
+
+def _saved_problem(path, m=30):
+    pts = _points(np.random.default_rng(10), m)
+    save_problem(path, make_problem(pts, 2, np.ones(m)))
+    return (path / "y.csv").read_text().splitlines(keepends=True)
+
+
+def test_load_problem_rejects_y_rows_differing_from_points(tmp_path):
+    # one y row against 30 points used to be broadcast by precondition
+    lines = _saved_problem(tmp_path)
+    (tmp_path / "y.csv").write_text("".join(lines[:2]))
+    with pytest.raises(ValueError, match="y.csv has 1 rows"):
+        load_problem(tmp_path)
+
+
+def test_load_problem_rejects_row_counts_differing_from_meta(tmp_path):
+    _saved_problem(tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    (tmp_path / "meta.json").write_text(json.dumps({**meta, "m": 29}))
+    with pytest.raises(ValueError, match="m=29"):
+        load_problem(tmp_path)
 
 
 def test_coefficient_vector_validates_length():

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import lpmv, sph_harm_y
 
 from so3sparse.wigner import (
     WignerIndex,
+    _wigner_d_lanes,
     all_indices,
     basis_count,
     jacobi_eval,
@@ -187,3 +190,42 @@ def test_evaluate_basis_matches_pointwise():
 def test_theta_endpoint_finite():
     vals = wigner_d(7, 3, -2, np.array([0.0, math.pi]))
     assert np.all(np.isfinite(vals))
+
+
+def test_evaluate_basis_rejects_unequal_lengths():
+    with pytest.raises(ValueError):
+        evaluate_basis(2, [0.1, 0.2], [0.3], [0.4])
+    with pytest.raises(ValueError):
+        evaluate_basis(2, [0.1], [0.3], [0.4, 0.5])
+
+
+def test_evaluate_basis_rejects_theta_outside_range():
+    with pytest.raises(ValueError, match=r"theta outside \[0, pi\]"):
+        evaluate_basis(2, [0.1, math.pi + 1e-9], [0.3, 0.3], [0.4, 0.4])
+
+
+@given(l=st.integers(0, 60), data=st.data())
+def test_recurrence_matches_jacobi(l, data):
+    k = data.draw(st.integers(-l, l), label="k")
+    n = data.draw(st.integers(-l, l), label="n")
+    theta = np.array(data.draw(
+        st.lists(st.floats(0.0, math.pi), min_size=1, max_size=5), label="theta"))
+    # the pair and its order swap share l0; each lane runs on its own grid
+    grids = np.stack([theta, math.pi - theta])
+    *_, (top, d) = _wigner_d_lanes([k, n], [n, k], grids, l)
+    assert top == l
+    np.testing.assert_allclose(d[0], wigner_d(l, k, n, theta), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d[1], wigner_d(l, n, k, grids[1]), rtol=0, atol=1e-12)
+
+
+@given(l=st.integers(0, 60), theta=st.floats(0.0, math.pi))
+def test_d_matrix_is_orthogonal(l, theta):
+    # sum_n d_l^{k,n} d_l^{k',n} = delta_{k,k'}, every lane on one shared grid
+    orders = np.arange(-l, l + 1)
+    k, n = (a.ravel() for a in np.meshgrid(orders, orders, indexing="ij"))
+    lane = np.argsort(np.maximum(np.abs(k), np.abs(n)), kind="stable")
+    *_, (_, d) = _wigner_d_lanes(k[lane], n[lane], [theta], l)
+    table = np.empty(k.size)
+    table[lane] = d[:, 0]
+    table = table.reshape(2 * l + 1, 2 * l + 1)
+    np.testing.assert_allclose(table @ table.T, np.eye(2 * l + 1), rtol=0, atol=1e-12)
