@@ -42,8 +42,10 @@ def _fmt_c(v: complex) -> str:
     return f"{FMT % v.real},{FMT % v.imag}"
 
 
-def _prepare_output(path: str, names: list[str], force: bool) -> None:
-    os.makedirs(path, exist_ok=True)
+def _check_outputs(path: str, names: list[str], force: bool) -> None:
+    """Refuse to overwrite outputs unless --force. Creates nothing: each
+    command makes its output directory only once its inputs have passed
+    validation, so a rejected run leaves no directory behind."""
     if not force:
         existing = [n for n in names if os.path.exists(os.path.join(path, n))]
         if existing:
@@ -84,8 +86,9 @@ def _cmd_gram(ns) -> int:
 def _cmd_bound_scan(ns) -> int:
     t0 = time.time()
     B_list = [int(b) for b in ns.B_list.split(",")]
-    _prepare_output(ns.output_dir, ["bounds.csv"], ns.force)
+    _check_outputs(ns.output_dir, ["bounds.csv"], ns.force)
     rows, slope = experiments.bound_scan(B_list, coarse=ns.grid)
+    os.makedirs(ns.output_dir, exist_ok=True)
     with open(os.path.join(ns.output_dir, "bounds.csv"), "w") as fh:
         fh.write("B,N,sup_preconditioned_D\n")
         for B, N, sup in rows:
@@ -121,9 +124,10 @@ def _cmd_phase_transition(ns) -> int:
         s_values = [int(s) for s in cfg_data["s_values"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad phase-transition config: {exc}")
-    _prepare_output(ns.output_dir, ["grid.csv", "contour.csv"], ns.force)
+    _check_outputs(ns.output_dir, ["grid.csv", "contour.csv"], ns.force)
     grid = experiments.phase_transition(template, m_values, s_values,
                                         threads=ns.threads)
+    os.makedirs(ns.output_dir, exist_ok=True)
     with open(os.path.join(ns.output_dir, "grid.csv"), "w") as fh:
         fh.write("m,s,success_rate\n")
         for i, m in enumerate(grid.m_values):
@@ -147,7 +151,7 @@ def _cmd_recover(ns) -> int:
         problem = sensing.load_problem(ns.problem_dir)
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"cannot load problem from {ns.problem_dir}: {exc}")
-    _prepare_output(ns.output_dir, ["x.csv", "solve_report.json"], ns.force)
+    _check_outputs(ns.output_dir, ["x.csv", "solve_report.json"], ns.force)
     system = sensing.precondition(problem.samples, problem.A, problem.y,
                                   problem.epsilon)
     radius = system.radius if ns.radius is None else ns.radius * system.scale * math.sqrt(problem.m)
@@ -156,6 +160,7 @@ def _cmd_recover(ns) -> int:
     result = solver.bpdn_ball(system.A, system.y, radius, cfg)
     if result.status == solver.INFEASIBLE:
         raise NumericalError("constraint set is empty (solver reported Infeasible)")
+    os.makedirs(ns.output_dir, exist_ok=True)
     with open(os.path.join(ns.output_dir, "x.csv"), "w") as fh:
         fh.write("re,im\n")
         for v in result.x:
@@ -193,12 +198,12 @@ def _cmd_nearfield_sim(ns) -> int:
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             raise ConfigError(f"bad probe-weights file: {exc}")
     outputs = ["T_true.csv", "T_l1.csv", "T_ls.csv", "pattern_cut.csv", "report.json"]
-    _prepare_output(ns.output_dir, outputs, ns.force)
-    rng = np.random.default_rng(ns.seed)
-    schedule = nearfield.make_schedule(rng, ns.m, measure=ns.measure)
     ncoef = nearfield.coefficient_count(ns.B)
     if not 1 <= ns.s <= ncoef:
         raise ConfigError(f"sparsity {ns.s} outside [1, {ncoef}]")
+    _check_outputs(ns.output_dir, outputs, ns.force)
+    rng = np.random.default_rng(ns.seed)
+    schedule = nearfield.make_schedule(rng, ns.m, measure=ns.measure)
     T_true = nearfield.TransmissionCoefficients(
         ns.B,
         experiments.gen_sparse(ncoef, ns.s, experiments.COMPLEX_GAUSSIAN, rng),
@@ -215,6 +220,8 @@ def _cmd_nearfield_sim(ns) -> int:
     T_ls = nearfield.baseline_least_squares(
         y, schedule, ns.B, probe_weights=T_true.probe_weights
     )
+
+    os.makedirs(ns.output_dir, exist_ok=True)
 
     def write_T(name, T):
         with open(os.path.join(ns.output_dir, name), "w") as fh:

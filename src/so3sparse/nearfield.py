@@ -21,7 +21,7 @@ from . import sampling
 from .sampling import Samples
 from .sensing import precondition
 from .solver import SolverConfig, SolverResult, bpdn_ball
-from .wigner import basis_count, evaluate_basis
+from .wigner import _WIGNER_ENTRIES_PER_PASS, basis_count, evaluate_basis
 
 __all__ = [
     "TransmissionCoefficients",
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_CHI_SET = (0.0, math.pi / 2)
-_WIGNER_ENTRIES_PER_PASS = 1 << 16   # Wigner-D entries build_dictionary holds at once (1 MB)
 
 
 def coefficient_count(B: int) -> int:

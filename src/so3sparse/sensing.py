@@ -16,10 +16,11 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from . import sampling
 from .sampling import Samples, measure_mass, preconditioner_weight
-from .wigner import basis_count, evaluate_basis
+from .wigner import _WIGNER_ENTRIES_PER_PASS, basis_count, evaluate_basis
 
 __all__ = [
     "CoefficientVector",
@@ -122,19 +123,8 @@ def precondition(
                                 radius=scale * math.sqrt(m) * epsilon, scale=scale)
 
 
-def gram_matrix(B: int, measure: str | None = None) -> np.ndarray:
-    """Quadrature Gram matrix of the bandwidth-B basis; identity if exact.
-
-    measure None: raw Wigner-D functions against sin(theta) d(theta, phi, chi).
-    measure "product"/"tan13": preconditioned functions against the
-    (unnormalized) sampling measure. In theta the quadrature is
-    Gauss-Legendre with B+1 nodes in x = cos(theta) (integrands are
-    polynomials of degree <= 2B-1 there once the sin(theta) weight from
-    weight^2 * density is absorbed); phi and chi use uniform 4B-point
-    grids, exact for the trigonometric frequencies present.
-    """
-    if B < 1:
-        raise ValueError(f"bandwidth must be >= 1, got {B}")
+def _gram_quadrature(B: int, measure: str | None):
+    """theta, phi, chi and weight of every node of gram_matrix's tensor grid."""
     x, wx = np.polynomial.legendre.leggauss(B + 1)
     theta = np.arccos(x)
     if measure is None:
@@ -154,14 +144,47 @@ def gram_matrix(B: int, measure: str | None = None) -> np.ndarray:
     phi = 2 * math.pi * np.arange(Q) / Q
     chi = 2 * math.pi * np.arange(Q) / Q
     w_ang = (2 * math.pi / Q) ** 2
+    tt, pp, cc = (v.ravel() for v in np.meshgrid(theta, phi, chi, indexing="ij"))
+    return tt, pp, cc, np.repeat(w_theta * w_ang, Q * Q)
 
-    tt, pp, cc = np.meshgrid(theta, phi, chi, indexing="ij")
-    ww = np.broadcast_to(w_theta[:, None, None], tt.shape).ravel() * w_ang
-    # quadrature weights are positive: scale the rows by their square roots
-    # in place, so the only other matrix-sized array is the conjugate
-    F = evaluate_basis(B, tt.ravel(), pp.ravel(), cc.ravel())
-    F *= np.sqrt(ww)[:, None]
-    return F.conj().T @ F
+
+def gram_matrix(B: int, measure: str | None = None) -> np.ndarray:
+    """Quadrature Gram matrix of the bandwidth-B basis; identity if exact.
+
+    measure None: raw Wigner-D functions against sin(theta) d(theta, phi, chi).
+    measure "product"/"tan13": preconditioned functions against the
+    (unnormalized) sampling measure. In theta the quadrature is
+    Gauss-Legendre with B+1 nodes in x = cos(theta) (integrands are
+    polynomials of degree <= 2B-1 there once the sin(theta) weight from
+    weight^2 * density is absorbed); phi and chi use uniform 4B-point
+    grids, exact for the trigonometric frequencies present.
+
+    G = sum_b F_b^H F_b is accumulated as a Hermitian rank-k update (BLAS
+    zherk, one triangle) over row blocks F_b of the quadrature matrix, each
+    row scaled by the square root of its weight, so the peak memory is one
+    N x N matrix plus one block of about 2^16 entries. The full Hermitian
+    matrix is returned.
+    """
+    if B < 1:
+        raise ValueError(f"bandwidth must be >= 1, got {B}")
+    theta, phi, chi, weight = _gram_quadrature(B, measure)
+    root_w = np.sqrt(weight)
+    N = basis_count(B)
+    step = max(1, _WIGNER_ENTRIES_PER_PASS // N)
+    # F_b is C-ordered, so F_b.T is Fortran-ordered and zherk reads it in
+    # place; its upper triangle of F_b.T conj(F_b) = conj(F_b^H F_b) is kept
+    C = np.zeros((N, N), dtype=complex, order="F")
+    for start in range(0, len(theta), step):
+        rows = slice(start, start + step)
+        F = evaluate_basis(B, theta[rows], phi[rows], chi[rows])
+        F *= root_w[rows, None]
+        C = zherk(1.0, F.T, beta=1.0, c=C, trans=0, overwrite_c=1)
+    # upper triangle of G = conj(C); the lower one mirrors it, so G is
+    # exactly Hermitian (zherk leaves the diagonal real)
+    np.conjugate(C, out=C)
+    lower = np.tril_indices(N, -1)
+    C[lower] = C.T[lower].conj()
+    return C
 
 
 def save_problem(directory, problem: SensingProblem) -> None:

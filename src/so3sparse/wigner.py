@@ -171,6 +171,7 @@ def spherical_harmonic(l: int, k: int, theta, phi):
 
 
 _SLICE = 512  # points per run of _wigner_d_lanes: keeps its working arrays small
+_WIGNER_ENTRIES_PER_PASS = 1 << 16  # Wigner-D entries a row-blocked caller holds at once (1 MB)
 
 
 def _wigner_d_lanes(k, n, theta, l_max: int):

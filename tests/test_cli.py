@@ -53,6 +53,17 @@ def test_invalid_kernel_inputs_exit_code(argv, tmp_path, capsys):
     assert cli.run(argv) == 1
     assert "error: config:" in capsys.readouterr().err
     assert not (tmp_path / "scan" / "bounds.csv").exists()
+    assert not (tmp_path / "scan").exists()
+
+
+@pytest.mark.parametrize("s", ["0", "999"])
+def test_nearfield_sim_rejects_sparsity_outside_range(s, tmp_path, capsys):
+    # B=2 has 2B(B+2) = 16 coefficients
+    out = tmp_path / "nf"
+    assert cli.run(["nearfield-sim", "--B", "2", "--s", s, "--m", "40",
+                    "--output-dir", str(out)]) == 1
+    assert "error: config: sparsity" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_flag_exit_code():

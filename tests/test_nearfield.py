@@ -21,7 +21,7 @@ from so3sparse.nearfield import (
 from so3sparse.sampling import Samples
 from so3sparse.sensing import build_matrix
 from so3sparse.solver import SolverConfig
-from so3sparse.wigner import WignerIndex, wigner_D
+from so3sparse.wigner import _WIGNER_ENTRIES_PER_PASS, WignerIndex, basis_count, wigner_D
 
 TIGHT = SolverConfig(primal_tolerance=1e-9, dual_tolerance=1e-9)
 
@@ -135,6 +135,25 @@ def test_dictionary_matches_per_column_sum_v_max_2():
                 np.testing.assert_allclose(
                     A[:, coefficient_index(h, l, k, B)], v * col, rtol=0, atol=1e-13
                 )
+
+
+def test_dictionary_row_blocks_match_one_pass():
+    # B=12 fills a 2^16-entry pass with 22 rows of its 2925 Wigner-D
+    # columns, so 50 probes take three passes, the last one short
+    rng = np.random.default_rng(11)
+    B, m = 12, 50
+    assert 2 * (_WIGNER_ENTRIES_PER_PASS // basis_count(B + 1)) < m
+    sched = make_schedule(rng, m)
+    T = _coeffs(B)
+    full = build_matrix(sched.samples, B + 1)
+    ref = np.zeros((m, coefficient_count(B)), dtype=complex)
+    for h in (1, 2):
+        for l in range(1, B + 1):
+            for k in range(-l, l + 1):
+                for n in (-1, 1):
+                    ref[:, coefficient_index(h, l, k, B)] += (
+                        T.probe_weights[(h, n)] * full[:, WignerIndex(l, k, n, B + 1).column])
+    np.testing.assert_allclose(build_dictionary(T, sched), T.v * ref, rtol=0, atol=1e-13)
 
 
 def test_probe_weight_condition_finite():

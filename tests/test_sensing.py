@@ -8,6 +8,7 @@ from so3sparse import sampling
 from so3sparse.sampling import Samples, preconditioner_weight
 from so3sparse.sensing import (
     CoefficientVector,
+    _gram_quadrature,
     add_noise,
     build_matrix,
     forward,
@@ -17,7 +18,7 @@ from so3sparse.sensing import (
     precondition,
     save_problem,
 )
-from so3sparse.wigner import all_indices, basis_count, wigner_D
+from so3sparse.wigner import all_indices, basis_count, evaluate_basis, wigner_D
 
 
 def _points(rng, m, measure=sampling.PRODUCT):
@@ -195,6 +196,24 @@ def test_load_problem_rejects_mixed_measures_and_ignores_scale(tmp_path):
 def test_gram_matrix_rejects_zero_bandwidth():
     with pytest.raises(ValueError):
         gram_matrix(0)
+
+
+def _dense_gram(B, measure):
+    # the same quadrature in one evaluate_basis call and one matmul
+    theta, phi, chi, weight = _gram_quadrature(B, measure)
+    F = np.sqrt(weight)[:, None] * evaluate_basis(B, theta, phi, chi)
+    return F.conj().T @ F
+
+
+@pytest.mark.parametrize("measure", [None, sampling.PRODUCT, sampling.TAN13])
+@pytest.mark.parametrize("B", [2, 3, 5])
+def test_gram_matrix_matches_dense_reference(B, measure):
+    # B=5: 2400 quadrature rows against row blocks of 2^16 // 165 = 397, so
+    # the last block is a short one
+    G = gram_matrix(B, measure)
+    assert G.shape == (basis_count(B), basis_count(B))
+    np.testing.assert_allclose(G, _dense_gram(B, measure), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(G, G.conj().T)
 
 
 def _saved_problem(path, m=30):
