@@ -18,7 +18,7 @@ import numpy as np
 
 from . import sampling
 from .sensing import add_noise, build_matrix, precondition
-from .solver import SolverConfig, bpdn_ball
+from .solver import CONVERGED, INFEASIBLE, SolverConfig, bpdn_ball
 from .wigner import _SLICE, _norm_factor, _wigner_d_lanes, basis_count
 
 REAL_GAUSSIAN = "RealGaussian"
@@ -103,7 +103,8 @@ def sigma_s(g: np.ndarray, s: int, p: int) -> float:
 
 
 def run_trial(cfg: TrialConfig, trial_index: int) -> tuple[bool, float]:
-    """One planted-recovery trial; the trial seed is base_seed + trial_index."""
+    """One planted-recovery trial; the trial seed is base_seed + trial_index.
+    Only a converged solve can count as a success."""
     rng = np.random.default_rng(cfg.base_seed + trial_index)
     samples = sampling.sample_points(cfg.measure, rng, cfg.m)
     g = gen_sparse(basis_count(cfg.B), cfg.s, cfg.nonzero_model, rng)
@@ -113,10 +114,10 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> tuple[bool, float]:
         y = add_noise(y, cfg.noise_epsilon, rng)
     system = precondition(samples, A, y, cfg.noise_epsilon)
     result = bpdn_ball(system.A, system.y, system.radius, cfg.solver)
-    if result.status == "Infeasible":
+    if result.status == INFEASIBLE:
         return False, float("inf")
     rel_err = float(np.linalg.norm(result.x - g) / np.linalg.norm(g))
-    return rel_err <= cfg.success_threshold, rel_err
+    return result.status == CONVERGED and rel_err <= cfg.success_threshold, rel_err
 
 
 def _run_cell(payload) -> tuple[int, float]:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from so3sparse import sampling
+from so3sparse import experiments, sampling
 from so3sparse.experiments import (
     COMPLEX_GAUSSIAN,
     REAL_GAUSSIAN,
@@ -17,6 +17,7 @@ from so3sparse.experiments import (
     run_trial,
     sigma_s,
 )
+from so3sparse.solver import CONVERGED, MAX_ITER, SolverResult
 from so3sparse.wigner import basis_count
 
 
@@ -72,6 +73,27 @@ def test_run_trial_square_system_succeeds():
     cfg = TrialConfig(B=2, m=N, s=3, base_seed=3)
     ok, err = run_trial(cfg, 0)
     assert ok and err < 1e-3
+
+
+@pytest.mark.parametrize("status, success", [(CONVERGED, True), (MAX_ITER, False)])
+def test_run_trial_success_needs_convergence(monkeypatch, status, success):
+    # a solver stand-in that returns the planted vector itself with the given
+    # status: only the status decides the verdict
+    planted = []
+
+    def planting(*args):
+        planted.append(gen_sparse(*args))
+        return planted[-1]
+
+    def solved(A, y, radius, cfg):
+        return SolverResult(x=planted[-1].copy(), iterations=cfg.max_iterations,
+                            primal_residual=1.0, dual_residual=1.0, status=status,
+                            penalty=1.0)
+
+    monkeypatch.setattr(experiments, "gen_sparse", planting)
+    monkeypatch.setattr(experiments, "bpdn_ball", solved)
+    ok, err = run_trial(TrialConfig(B=2, m=20, s=2, base_seed=17), 0)
+    assert ok is success and err == 0.0
 
 
 def test_run_trial_deterministic():

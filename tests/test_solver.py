@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from so3sparse.experiments import COMPLEX_GAUSSIAN, gen_sparse
 from so3sparse.solver import (
     CONVERGED,
     INFEASIBLE,
     SolverConfig,
+    _project_l1_ball,
     basis_pursuit,
     bpdn_ball,
     check_optimality,
@@ -95,14 +101,14 @@ def test_bpdn_large_radius_gives_zero():
     assert res.status == CONVERGED
 
 
-def test_bpdn_zero_radius_matches_basis_pursuit():
+def test_bpdn_zero_radius_is_certified():
     rng = np.random.default_rng(3)
     for trial in range(20):
         A, x, y = _planted(rng, 12, 24, 3)
-        r_bp = basis_pursuit(A, y, TIGHT)
-        r_ball = bpdn_ball(A, y, 0.0, TIGHT)
-        denom = np.linalg.norm(r_bp.x)
-        assert np.linalg.norm(r_ball.x - r_bp.x) / denom < 1e-6
+        res = bpdn_ball(A, y, 0.0, TIGHT)
+        rep = check_optimality(A, y, res.x)
+        assert rep.dual_violation < 1e-5
+        assert rep.feasibility_gap < 1e-7
 
 
 def test_bpdn_planted_one_sparse():
@@ -171,6 +177,49 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(primal_tolerance=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(over_relaxation=2.5)
-    with pytest.raises(ValueError):
         bpdn_ball(np.eye(2), np.ones(2), -1.0)
+
+
+def test_check_optimality_where_least_norm_fit_fails():
+    # the instance of seed 5033 in the planted-recovery acceptance test: the
+    # least-norm fit of the sign equalities overshoots 1 off the support, yet
+    # the planted vector is the l1 minimizer and has a certificate
+    N, m, s = 100, 40, 5
+    rng = np.random.default_rng(5033)
+    A = (rng.standard_normal((m, N)) + 1j * rng.standard_normal((m, N))) / math.sqrt(2 * m)
+    x = gen_sparse(N, s, COMPLEX_GAUSSIAN, rng)
+    S = x != 0
+    u0, *_ = np.linalg.lstsq(A[:, S].conj().T, x[S] / np.abs(x[S]), rcond=None)
+    assert np.max(np.abs(A[:, ~S].conj().T @ u0)) > 1.0
+    assert check_optimality(A, A @ x, x).dual_violation < 1e-8
+
+
+COMPLEX_VECTORS = st.lists(
+    st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=12
+).map(lambda parts: np.array([complex(re, im) for re, im in parts]))
+
+
+@given(t=COMPLEX_VECTORS, radius=st.floats(1e-3, 10), seed=st.integers(0, 2**32 - 1))
+def test_project_l1_ball_properties(t, radius, seed):
+    p = _project_l1_ball(t, radius)
+    # the threshold is a difference of moduli of t, so rounding errors scale
+    # with the size of t rather than with the radius
+    t_l1 = float(np.sum(np.abs(t)))
+    l1_tol = 1e-12 * (1.0 + t_l1)
+    tol = 1e-12 * max(1.0, float(np.vdot(t, t).real))
+    l1 = float(np.sum(np.abs(p)))
+    assert l1 <= radius + l1_tol
+    if t_l1 > radius:
+        assert l1 == pytest.approx(radius, abs=l1_tol)
+    np.testing.assert_allclose(_project_l1_ball(p, radius), p, rtol=0, atol=l1_tol)
+    # Moreau: v = t - p is the prox of radius * ||.||_inf at t exactly when
+    # p lies in radius * (subdifferential of ||.||_inf at v), that is
+    # ||p||_1 <= radius and Re<p, v> = radius * ||v||_inf
+    v = t - p
+    assert np.vdot(p, v).real == pytest.approx(radius * np.max(np.abs(v)), abs=tol)
+    # variational inequality of the projection against points of the ball
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        g = rng.standard_normal(len(t)) + 1j * rng.standard_normal(len(t))
+        q = rng.uniform(0, radius) * g / np.sum(np.abs(g))
+        assert np.vdot(q - p, t - p).real <= tol
