@@ -171,6 +171,7 @@ def _cmd_recover(ns) -> int:
         "dual_residual": result.dual_residual,
         "objective": result.objective,
         "penalty": result.penalty,
+        "rebalances": result.rebalances,
         "status": result.status,
         "wall_time_s": time.time() - t0,
     }

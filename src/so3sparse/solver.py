@@ -5,12 +5,33 @@
 Ax - y = w with w constrained to the ell2-ball and z updated by complex
 soft thresholding. The x-update solves (I + A*A) x = rhs through the
 Woodbury identity, x = rhs - A* q with q = C^{-1} A rhs and C = I + A A*,
-so only an m x m system is ever solved. C^{-1} A is solved for once per
-call and cached explicitly in place of a Cholesky factor: the eigenvalues
-of C are >= 1, so C^{-1} is well conditioned. A x = A rhs - (C - I) q = q
-comes for free, and the other A* products of an iteration are multiples
-of A* v for the ball-projection argument v, so an iteration costs three
-matvecs.
+so only an m x m system is ever solved. A x = A rhs - (C - I) q = q comes
+for free, and the other A* products of an iteration are multiples of A* v
+for the ball-projection argument v, so an iteration costs three matvecs.
+
+The set-up is one Hermitian eigendecomposition A A* = V diag(lam) V*.
+It gives the cached C^{-1} A = V (V* A / (1 + lam)) (the eigenvalues of C
+are >= 1, so this is well conditioned) and the distance of y from the
+range of A, ||V* y|| over the eigenvalues at or below the rank cut
+lam_max * max(m, N) * eps. That distance decides `Infeasible`. The cut is
+numpy's `lstsq` rcond applied to lam = sigma^2 instead of to sigma: it
+agrees with `lstsq` whenever no singular value lies between
+max(m, N) * eps * sigma_max and sqrt(max(m, N) * eps) * sigma_max, and
+below that band eigh cannot resolve lam from rounding anyway.
+
+The penalty starts at rho_0 = 4 and is rebalanced every 10 iterations
+when the primal and dual residuals differ by 10x (residual balancing,
+He, Yang & Wang 2000). Against rho_0 = 1, the start of 4 took the two
+50-trial B=5 phase-transition grids from 467818 to 350157 iterations
+with the success count of every cell unchanged, and 22 near-field
+simulations (B=12, s=16, m=200) from 47461 to 46717. Starts scaled by
+the problem were measured and rejected: sqrt(N)/||y|| needed 2.5 %
+fewer iterations than rho_0 = 4 on a 120-trial grid but 27 % more on
+the near-field simulations, and sqrt(N/m) needed more on both.
+
+The dual residual and its tolerance are only evaluated when the primal
+test passes, on a rebalance iteration or on the last allowed one, the
+only places they are read; the iterates do not change.
 
 `check_optimality` builds its KKT certificate itself: a dual vector u
 that matches the signs of x on the support, chosen to minimize the
@@ -41,7 +62,7 @@ CONVERGED = "Converged"
 MAX_ITER = "MaxIter"
 INFEASIBLE = "Infeasible"
 
-_PENALTY = 1.0           # initial ADMM penalty rho, rebalanced as the loop runs
+_PENALTY = 4.0           # initial ADMM penalty rho, rebalanced as the loop runs
 _OVER_RELAXATION = 1.6
 _CERTIFICATE_ITERATIONS = 500
 _CERTIFICATE_PENALTY = 1.0
@@ -67,7 +88,8 @@ class SolverResult:
     primal_residual: float
     dual_residual: float
     status: str
-    penalty: float   # final ADMM penalty rho, after rebalancing
+    penalty: float     # final ADMM penalty rho, after rebalancing
+    rebalances: int    # number of times rho was changed
 
     @property
     def objective(self) -> float:
@@ -109,20 +131,26 @@ def bpdn_ball(
     if y_norm <= radius:
         return SolverResult(x=np.zeros(N, dtype=complex), iterations=0,
                             primal_residual=0.0, dual_residual=0.0, status=CONVERGED,
-                            penalty=_PENALTY)
-
-    xls, *_ = np.linalg.lstsq(A, y, rcond=None)
-    best_feasible = _norm(A @ xls - y)
-    if best_feasible > radius + cfg.primal_tolerance * (1.0 + y_norm):
-        return SolverResult(x=xls, iterations=0, primal_residual=best_feasible,
-                            dual_residual=float("inf"), status=INFEASIBLE,
-                            penalty=_PENALTY)
+                            penalty=_PENALTY, rebalances=0)
 
     At = A.conj().T
-    CinvA = np.linalg.solve(np.eye(m) + A @ At, A)   # (I + A A*)^{-1} A
+    lam, V = np.linalg.eigh(A @ At)     # A A* = V diag(lam) V*, lam ascending
+    Vt = V.conj().T
+    Vty = Vt @ y
+    low = lam <= lam[-1] * max(m, N) * np.finfo(float).eps
+    best_feasible = _norm(Vty[low])     # distance of y from range(A)
+    if best_feasible > radius + cfg.primal_tolerance * (1.0 + y_norm):
+        keep = ~low
+        xls = At @ (V[:, keep] @ (Vty[keep] / lam[keep]))   # minimum-norm least squares
+        return SolverResult(x=xls, iterations=0, primal_residual=best_feasible,
+                            dual_residual=float("inf"), status=INFEASIBLE,
+                            penalty=_PENALTY, rebalances=0)
+
+    CinvA = V @ ((Vt @ A) / (1.0 + lam)[:, None])   # (I + A A*)^{-1} A
     Aty = At @ y
 
     rho = _PENALTY
+    rebalances = 0
     alpha = _OVER_RELAXATION
     # absolute parts of the stopping tolerances; the relative parts scale
     # with the current iterates
@@ -156,28 +184,37 @@ def bpdn_ball(
         u1 += x_hat
         u1 -= z
         r_norm = math.hypot(_norm(x - z), _norm(Ax_y - w))
-        s_norm = rho * math.hypot(_norm(z - z_old), _norm(Atw - Atw_old))
         eps_pri = abs_pri + cfg.primal_tolerance * max(
             _norm(x), _norm(z), _norm(Ax_y), min(v_norm, radius))
-        eps_dua = abs_dua + cfg.dual_tolerance * (rho * math.hypot(_norm(u1), _norm(Atu2)))
-        if r_norm < eps_pri and s_norm < eps_dua:
-            return SolverResult(x=z, iterations=it, primal_residual=r_norm,
-                                dual_residual=s_norm, status=CONVERGED, penalty=rho)
+        primal_ok = r_norm < eps_pri
+        rebalance = it % 10 == 0
+        if not (primal_ok or rebalance or it == cfg.max_iterations):
+            continue    # the dual residual would not be read
+        s_norm = rho * math.hypot(_norm(z - z_old), _norm(Atw - Atw_old))
+        if primal_ok:
+            eps_dua = abs_dua + cfg.dual_tolerance * (rho * math.hypot(_norm(u1), _norm(Atu2)))
+            if s_norm < eps_dua:
+                return SolverResult(x=z, iterations=it, primal_residual=r_norm,
+                                    dual_residual=s_norm, status=CONVERGED, penalty=rho,
+                                    rebalances=rebalances)
         # rebalance only every few iterations: per-iteration rescaling of the
         # scaled duals can lock the iteration into a limit cycle
-        if it % 10 == 0:
+        if rebalance:
             if r_norm > 10.0 * s_norm:
                 rho *= 2.0
                 u1 /= 2.0
                 u2 /= 2.0
                 Atu2 /= 2.0
+                rebalances += 1
             elif s_norm > 10.0 * r_norm:
                 rho /= 2.0
                 u1 *= 2.0
                 u2 *= 2.0
                 Atu2 *= 2.0
+                rebalances += 1
     return SolverResult(x=z, iterations=cfg.max_iterations, primal_residual=r_norm,
-                        dual_residual=s_norm, status=MAX_ITER, penalty=rho)
+                        dual_residual=s_norm, status=MAX_ITER, penalty=rho,
+                        rebalances=rebalances)
 
 
 def _project_l1_ball(t: np.ndarray, radius: float) -> np.ndarray:
@@ -215,7 +252,9 @@ def check_optimality(
     ||.||_inf / rho is t minus the projection of t onto the l1 ball of
     radius 1/rho (Moreau). Each iterate is a complete candidate u, so the
     best one seen is kept; the violation is evaluated on it directly and is
-    therefore attained, not estimated.
+    therefore attained, not estimated. The search is skipped when u0
+    already has sup-norm <= 1 off the support, and it stops at the first
+    candidate that does: the violation is then the support fit either way.
     """
     A = np.asarray(A, dtype=complex)
     x = np.asarray(x, dtype=complex)
@@ -232,19 +271,22 @@ def check_optimality(
     u = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ signs) / sv[:rank])
     Z = Vh[rank:].conj().T
     AoH = A[:, ~support].conj().T
-    if AoH.size and Z.size:
-        c = AoH @ u
+    c = AoH @ u
+    best = float(np.max(np.abs(c), initial=0.0))
+    if Z.size and best > 1.0:
         M = AoH @ Z
         M_pinv = np.linalg.pinv(M)
         v = c
         lam = np.zeros_like(c)
-        best_w, best = np.zeros(Z.shape[1], dtype=complex), float(np.max(np.abs(c)))
+        best_w = np.zeros(Z.shape[1], dtype=complex)
         for _ in range(_CERTIFICATE_ITERATIONS):
             w = M_pinv @ (v - c - lam)
             off = c + M @ w
             sup = float(np.max(np.abs(off)))
             if sup < best:
                 best_w, best = w, sup
+                if best <= 1.0:
+                    break
             t = off + lam
             lam = _project_l1_ball(t, 1.0 / _CERTIFICATE_PENALTY)
             v = t - lam

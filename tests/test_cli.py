@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from so3sparse import cli, sampling, sensing
+from so3sparse import cli, sampling, sensing, solver
 from so3sparse.experiments import COMPLEX_GAUSSIAN, gen_sparse
 from so3sparse.wigner import basis_count
 
@@ -117,6 +117,12 @@ def test_recover_round_trip(tmp_path, capsys):
     report = json.loads((out / "solve_report.json").read_text())
     assert report["status"] == "Converged"
     assert report["penalty"] > 0
+    # each rebalance doubles or halves rho, starting from rho_0
+    assert isinstance(report["rebalances"], int)
+    doublings = math.log2(report["penalty"] / solver._PENALTY)
+    assert doublings == round(doublings)
+    assert abs(doublings) <= report["rebalances"]
+    assert report["rebalances"] % 2 == abs(round(doublings)) % 2
     assert (out / "manifest.json").exists()
 
 
@@ -166,6 +172,21 @@ def test_manifest_records_invocation(tmp_path):
     assert manifest["subcommand"] == "bound-scan"
     assert manifest["args"]["B_list"] == "1,2"
     assert "version" in manifest and "wall_time_s" in manifest
+
+
+def test_module_entry_point_without_install():
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "so3sparse", "eval", "--l", "0", "--k", "0", "--n", "0",
+         "--theta", "0", "--phi", "0", "--chi", "0"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "0.112540,0.000000"
 
 
 def test_entry_point_installed():

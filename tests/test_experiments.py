@@ -88,7 +88,7 @@ def test_run_trial_success_needs_convergence(monkeypatch, status, success):
     def solved(A, y, radius, cfg):
         return SolverResult(x=planted[-1].copy(), iterations=cfg.max_iterations,
                             primal_residual=1.0, dual_residual=1.0, status=status,
-                            penalty=1.0)
+                            penalty=1.0, rebalances=0)
 
     monkeypatch.setattr(experiments, "gen_sparse", planting)
     monkeypatch.setattr(experiments, "bpdn_ball", solved)

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from so3sparse import solver
 from so3sparse.experiments import COMPLEX_GAUSSIAN, gen_sparse
 from so3sparse.solver import (
     CONVERGED,
     INFEASIBLE,
+    MAX_ITER,
     SolverConfig,
+    _norm,
     _project_l1_ball,
     basis_pursuit,
     bpdn_ball,
@@ -135,6 +138,124 @@ def test_bpdn_active_ball_with_bounded_noise():
     assert res.objective <= np.sum(np.abs(x)) + 1e-7
 
 
+def _repeated_rows(rng):
+    # 7 rows, rank 4: rows 4..6 repeat rows 0..2
+    base = rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10))
+    return base[[0, 1, 2, 3, 0, 1, 2]]
+
+
+def test_infeasible_distance_matches_lstsq():
+    rng = np.random.default_rng(9)
+    A = _repeated_rows(rng)
+    y = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    xls, *_ = np.linalg.lstsq(A, y, rcond=None)
+    dist = np.linalg.norm(A @ xls - y)
+    assert dist > 0.1
+    res = bpdn_ball(A, y, 0.0)
+    assert res.status == INFEASIBLE
+    assert res.primal_residual == pytest.approx(dist, rel=1e-12)
+    np.testing.assert_allclose(res.x, xls, rtol=0, atol=1e-12 * np.linalg.norm(xls))
+
+
+def test_rank_deficient_consistent_system_converges():
+    rng = np.random.default_rng(9)
+    A = _repeated_rows(rng)
+    x = np.zeros(10, dtype=complex)
+    x[[2, 7]] = [1.0 - 0.5j, 0.25j]
+    res = bpdn_ball(A, A @ x, 0.0, TIGHT)
+    assert res.status == CONVERGED
+    np.testing.assert_allclose(A @ res.x, A @ x, atol=1e-8)
+
+
+def test_ill_conditioned_full_rank_is_feasible():
+    # condition number 1e6: sigma_min^2 / sigma_max^2 = 1e-12 is far above
+    # the rank cut, so every y is in the range
+    rng = np.random.default_rng(10)
+    U, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    W, _ = np.linalg.qr(rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6)))
+    A = U @ np.diag(np.logspace(0, -6, 6)) @ W.conj().T
+    assert np.linalg.cond(A) == pytest.approx(1e6, rel=1e-6)
+    y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    # one iteration is enough to show that the set-up let the loop start
+    res = bpdn_ball(A, y, 0.0, SolverConfig(max_iterations=1))
+    assert res.status == MAX_ITER and res.iterations == 1
+
+
+def _reference_bpdn(A, y, radius, cfg):
+    """The loop of `bpdn_ball` with every residual and tolerance evaluated at
+    every iteration; returns x, iterations, status and the last residuals."""
+    m, N = A.shape
+    At = A.conj().T
+    lam, V = np.linalg.eigh(A @ At)
+    CinvA = V @ ((V.conj().T @ A) / (1.0 + lam)[:, None])
+    Aty = At @ y
+    rho, alpha = solver._PENALTY, solver._OVER_RELAXATION
+    abs_pri = math.sqrt(N + m) * cfg.primal_tolerance
+    abs_dua = math.sqrt(N + m) * cfg.dual_tolerance
+    z, u1, Atw, Atu2 = (np.zeros(N, dtype=complex) for _ in range(4))
+    w, u2 = np.zeros(m, dtype=complex), np.zeros(m, dtype=complex)
+    for it in range(1, cfg.max_iterations + 1):
+        rhs = (z - u1) + (Aty + Atw - Atu2)
+        Ax = CinvA @ rhs
+        x = rhs - At @ Ax
+        x_hat = alpha * x + (1.0 - alpha) * z
+        Ax_y = Ax - y
+        z_old, Atw_old = z, Atw
+        z = soft_threshold(x_hat + u1, 1.0 / rho)
+        v = alpha * Ax_y + (1.0 - alpha) * w + u2
+        v_norm = _norm(v)
+        shrink = radius / v_norm if v_norm > radius else 1.0
+        w = shrink * v
+        u2 = v - w
+        Atv = At @ v
+        Atw = shrink * Atv
+        Atu2 = Atv - Atw
+        u1 += x_hat
+        u1 -= z
+        r_norm = math.hypot(_norm(x - z), _norm(Ax_y - w))
+        s_norm = rho * math.hypot(_norm(z - z_old), _norm(Atw - Atw_old))
+        eps_pri = abs_pri + cfg.primal_tolerance * max(
+            _norm(x), _norm(z), _norm(Ax_y), min(v_norm, radius))
+        eps_dua = abs_dua + cfg.dual_tolerance * (rho * math.hypot(_norm(u1), _norm(Atu2)))
+        if r_norm < eps_pri and s_norm < eps_dua:
+            return z, it, CONVERGED, r_norm, s_norm
+        if it % 10 == 0:
+            if r_norm > 10.0 * s_norm:
+                rho, u1, u2, Atu2 = 2.0 * rho, u1 / 2.0, u2 / 2.0, Atu2 / 2.0
+            elif s_norm > 10.0 * r_norm:
+                rho, u1, u2, Atu2 = rho / 2.0, u1 * 2.0, u2 * 2.0, Atu2 * 2.0
+    return z, cfg.max_iterations, MAX_ITER, r_norm, s_norm
+
+
+def test_lazy_dual_test_matches_reference_loop():
+    rng = np.random.default_rng(12)
+    for trial in range(10):
+        A, _, y = _planted(rng, 20, 50, 3)
+        radius = 0.0
+        if trial % 2:
+            radius = 0.05 * np.linalg.norm(y)
+            e = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+            y = y + 0.8 * radius * e / np.linalg.norm(e)
+        res = bpdn_ball(A, y, radius)
+        x, iterations, status, _, _ = _reference_bpdn(A, y, radius, SolverConfig())
+        assert res.status == status == CONVERGED
+        assert res.iterations == iterations
+        np.testing.assert_array_equal(res.x, x)
+
+
+def test_max_iter_reports_final_dual_residual():
+    rng = np.random.default_rng(13)
+    A, _, y = _planted(rng, 20, 50, 3)
+    cfg = SolverConfig(max_iterations=37)
+    res = bpdn_ball(A, y, 0.0, cfg)
+    x, iterations, status, r_norm, s_norm = _reference_bpdn(A, y, 0.0, cfg)
+    assert res.status == status == MAX_ITER
+    assert res.iterations == iterations == 37
+    np.testing.assert_array_equal(res.x, x)
+    assert res.primal_residual == r_norm
+    assert res.dual_residual == s_norm
+
+
 def test_bpdn_infeasible_ball():
     A = np.array([[1.0, 0.0], [0.0, 0.0]])
     y = np.array([0.0, 1.0], dtype=complex)
@@ -192,6 +313,27 @@ def test_check_optimality_where_least_norm_fit_fails():
     u0, *_ = np.linalg.lstsq(A[:, S].conj().T, x[S] / np.abs(x[S]), rcond=None)
     assert np.max(np.abs(A[:, ~S].conj().T @ u0)) > 1.0
     assert check_optimality(A, A @ x, x).dual_violation < 1e-8
+
+
+def test_check_optimality_searches_only_until_certified(monkeypatch):
+    calls = []
+
+    def counting(t, radius):
+        calls.append(radius)
+        return _project_l1_ball(t, radius)
+
+    monkeypatch.setattr(solver, "_project_l1_ball", counting)
+    N, m, s = 100, 40, 5
+    for seed, certifies in ((5000, True), (5033, False)):
+        rng = np.random.default_rng(seed)
+        A = (rng.standard_normal((m, N)) + 1j * rng.standard_normal((m, N))) / math.sqrt(2 * m)
+        x = gen_sparse(N, s, COMPLEX_GAUSSIAN, rng)
+        calls.clear()
+        assert check_optimality(A, A @ x, x).dual_violation < 1e-8
+        if certifies:
+            assert not calls   # the least-norm fit is already a certificate
+        else:
+            assert 0 < len(calls) < solver._CERTIFICATE_ITERATIONS
 
 
 COMPLEX_VECTORS = st.lists(
