@@ -16,11 +16,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zherk
 
 from . import sampling
 from .sampling import Samples, measure_mass, preconditioner_weight
-from .wigner import _WIGNER_ENTRIES_PER_PASS, basis_count, evaluate_basis
+from .wigner import all_indices, basis_count, evaluate_basis
 
 __all__ = [
     "CoefficientVector",
@@ -124,7 +123,8 @@ def precondition(
 
 
 def _gram_quadrature(B: int, measure: str | None):
-    """theta, phi, chi and weight of every node of gram_matrix's tensor grid."""
+    """1-D rules of gram_matrix's tensor grid: theta nodes and weights, then
+    the uniform angle nodes and weights that phi and chi share."""
     x, wx = np.polynomial.legendre.leggauss(B + 1)
     theta = np.arccos(x)
     if measure is None:
@@ -141,11 +141,22 @@ def _gram_quadrature(B: int, measure: str | None):
         comb[bad] = np.sin(theta[bad])
         w_theta = wx * comb / np.sin(theta)
     Q = 4 * B
-    phi = 2 * math.pi * np.arange(Q) / Q
-    chi = 2 * math.pi * np.arange(Q) / Q
-    w_ang = (2 * math.pi / Q) ** 2
-    tt, pp, cc = (v.ravel() for v in np.meshgrid(theta, phi, chi, indexing="ij"))
-    return tt, pp, cc, np.repeat(w_theta * w_ang, Q * Q)
+    return theta, w_theta, 2 * math.pi * np.arange(Q) / Q, np.full(Q, 2 * math.pi / Q)
+
+
+def _separable_gram(B: int, theta, w_theta, angle, w_angle) -> np.ndarray:
+    """Gram matrix of the bandwidth-B basis on the grid theta x angle x angle
+    (phi, then chi) with weights w_theta[i] w_angle[j] w_angle[q]."""
+    zero = np.zeros_like(theta)
+    D = evaluate_basis(B, theta, zero, zero).real      # N_l d_l^{k,n}(theta_i)
+    E = np.exp(-1j * np.outer(angle, np.arange(1 - B, B)))
+    S = E.conj().T @ (w_angle[:, None] * E)
+    # S kron S holds S[k, k'] S[n, n'] at flat order pairs k (2B-1) + n, with
+    # orders counted from 1 - B; c is that position for every column
+    c = np.array([(i.k + B - 1) * (2 * B - 1) + i.n + B - 1 for i in all_indices(B)])
+    G = (D.T @ (w_theta[:, None] * D)) * np.kron(S, S)[np.ix_(c, c)]
+    # G_ab and conj(G_ba) differ by roundoff; their mean is exactly Hermitian
+    return 0.5 * (G + G.conj().T)
 
 
 def gram_matrix(B: int, measure: str | None = None) -> np.ndarray:
@@ -159,32 +170,21 @@ def gram_matrix(B: int, measure: str | None = None) -> np.ndarray:
     weight^2 * density is absorbed); phi and chi use uniform 4B-point
     grids, exact for the trigonometric frequencies present.
 
-    G = sum_b F_b^H F_b is accumulated as a Hermitian rank-k update (BLAS
-    zherk, one triangle) over row blocks F_b of the quadrature matrix, each
-    row scaled by the square root of its weight, so the peak memory is one
-    N x N matrix plus one block of about 2^16 entries. The full Hermitian
-    matrix is returned.
+    The sum over the (B+1) x 4B x 4B tensor grid is evaluated by separation
+    of variables. The node weight depends on theta alone, and each
+    D_a = N_l e^{-jk phi} d_l^{k,n}(theta) e^{-jn chi} is a product of one
+    factor per angle, so the triple sum of conj(D_a) D_b factors into
+    G_ab = T_ab S[k_a, k_b] S[n_a, n_b] (Kostelec & Rockmore 2008, FFTs on
+    the Rotation Group). D is the real table N_l d_l^{k,n}(theta_i) from one
+    evaluate_basis call on the theta nodes and T = D^T diag(w_theta) D;
+    S = E^H diag(w) E with E_jk = e^{-jk phi_j} is the uniform rule's sum
+    over phi, and again over chi. Every entry is that same weighted sum,
+    computed from the nodes and weights: orthogonality is checked, never
+    assumed.
     """
     if B < 1:
         raise ValueError(f"bandwidth must be >= 1, got {B}")
-    theta, phi, chi, weight = _gram_quadrature(B, measure)
-    root_w = np.sqrt(weight)
-    N = basis_count(B)
-    step = max(1, _WIGNER_ENTRIES_PER_PASS // N)
-    # F_b is C-ordered, so F_b.T is Fortran-ordered and zherk reads it in
-    # place; its upper triangle of F_b.T conj(F_b) = conj(F_b^H F_b) is kept
-    C = np.zeros((N, N), dtype=complex, order="F")
-    for start in range(0, len(theta), step):
-        rows = slice(start, start + step)
-        F = evaluate_basis(B, theta[rows], phi[rows], chi[rows])
-        F *= root_w[rows, None]
-        C = zherk(1.0, F.T, beta=1.0, c=C, trans=0, overwrite_c=1)
-    # upper triangle of G = conj(C); the lower one mirrors it, so G is
-    # exactly Hermitian (zherk leaves the diagonal real)
-    np.conjugate(C, out=C)
-    lower = np.tril_indices(N, -1)
-    C[lower] = C.T[lower].conj()
-    return C
+    return _separable_gram(B, *_gram_quadrature(B, measure))
 
 
 def save_problem(directory, problem: SensingProblem) -> None:

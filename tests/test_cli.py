@@ -41,6 +41,15 @@ def test_gram_reports_orthonormal(capsys):
     assert max_off < 1e-12
 
 
+@pytest.mark.parametrize("measure", ["raw", "product", "tan13"])
+def test_gram_b8_reports_orthonormal(measure, capsys):
+    # the benchmark's Gram op
+    assert cli.run(["gram", "--B", "8", "--measure", measure]) == 0
+    seen = {k: float(v) for k, v in (item.split("=") for item in capsys.readouterr().out.split())}
+    assert set(seen) == {"max_offdiag", "max_diag_dev"}
+    assert all(v < 1e-8 for v in seen.values())
+
+
 @pytest.mark.parametrize("argv", [
     ["gram", "--B", "0"],
     ["bound-scan", "--B-list", "0,4"],
@@ -187,6 +196,22 @@ def test_module_entry_point_without_install():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.112540,0.000000"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs every fresh process about 0.05 CPU s and 6 MB
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, so3sparse.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_entry_point_installed():

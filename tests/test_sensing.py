@@ -9,6 +9,7 @@ from so3sparse.sampling import Samples, preconditioner_weight
 from so3sparse.sensing import (
     CoefficientVector,
     _gram_quadrature,
+    _separable_gram,
     add_noise,
     build_matrix,
     forward,
@@ -198,21 +199,44 @@ def test_gram_matrix_rejects_zero_bandwidth():
         gram_matrix(0)
 
 
-def _dense_gram(B, measure):
-    # the same quadrature in one evaluate_basis call and one matmul
-    theta, phi, chi, weight = _gram_quadrature(B, measure)
-    F = np.sqrt(weight)[:, None] * evaluate_basis(B, theta, phi, chi)
+def _meshed_gram(B, theta, w_theta, angle, w_angle):
+    # the tensor-grid sum itself: mesh the 1-D rules, one evaluate_basis call
+    # on every node and one matmul
+    tt, pp, cc = (v.ravel() for v in np.meshgrid(theta, angle, angle, indexing="ij"))
+    weight = (w_theta[:, None, None] * w_angle[:, None] * w_angle).ravel()
+    F = np.sqrt(weight)[:, None] * evaluate_basis(B, tt, pp, cc)
     return F.conj().T @ F
 
 
+def _dense_gram(B, measure):
+    return _meshed_gram(B, *_gram_quadrature(B, measure))
+
+
 @pytest.mark.parametrize("measure", [None, sampling.PRODUCT, sampling.TAN13])
-@pytest.mark.parametrize("B", [2, 3, 5])
+@pytest.mark.parametrize("B", [2, 3, 4, 5])
 def test_gram_matrix_matches_dense_reference(B, measure):
-    # B=5: 2400 quadrature rows against row blocks of 2^16 // 165 = 397, so
-    # the last block is a short one
     G = gram_matrix(B, measure)
     assert G.shape == (basis_count(B), basis_count(B))
     np.testing.assert_allclose(G, _dense_gram(B, measure), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(G, G.conj().T)
+
+
+@pytest.mark.parametrize("B", [2, 3, 4])
+def test_separable_gram_is_the_tensor_grid_sum(B):
+    # inexact rules: random theta nodes and weights, and Q < 2B-1 random
+    # angle nodes, so no orthogonality holds and the entries between
+    # different orders (k, n) are O(1); the factored product must still be
+    # the meshed grid's sum
+    rng = np.random.default_rng(800 + B)
+    theta = rng.uniform(0.05, np.pi - 0.05, B + 2)
+    angle = rng.uniform(0.0, 2 * np.pi, 2 * B - 2)
+    w_theta, w_angle = rng.uniform(0.5, 1.5, len(theta)), rng.uniform(0.5, 1.5, len(angle))
+    G = _separable_gram(B, theta, w_theta, angle, w_angle)
+    ref = _meshed_gram(B, theta, w_theta, angle, w_angle)
+    idx = all_indices(B)
+    other_orders = np.array([[(a.k, a.n) != (b.k, b.n) for b in idx] for a in idx])
+    assert np.abs(ref[other_orders]).max() > 0.1 * np.abs(ref).max()
+    np.testing.assert_allclose(G, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
     np.testing.assert_array_equal(G, G.conj().T)
 
 
