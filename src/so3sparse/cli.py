@@ -204,44 +204,35 @@ def _cmd_nearfield_sim(ns) -> int:
         raise ConfigError(f"sparsity {ns.s} outside [1, {ncoef}]")
     _check_outputs(ns.output_dir, outputs, ns.force)
     rng = np.random.default_rng(ns.seed)
-    schedule = nearfield.make_schedule(rng, ns.m, measure=ns.measure)
+    samples = nearfield.make_schedule(rng, ns.m, measure=ns.measure)
     T_true = nearfield.TransmissionCoefficients(
         ns.B,
         experiments.gen_sparse(ncoef, ns.s, experiments.COMPLEX_GAUSSIAN, rng),
         probe_weights=weights or nearfield.default_probe_weights(),
     )
-    y = nearfield.transmission_forward(T_true, schedule)
+    A = nearfield.build_dictionary(ns.B, T_true.probe_weights, samples)
+    y = nearfield.transmission_forward(A, T_true.values)
     if ns.epsilon > 0:
         y = sensing.add_noise(y, ns.epsilon, rng)
-    T_l1, result = nearfield.recover_transmission(
-        y, schedule, ns.B, epsilon=ns.epsilon, probe_weights=T_true.probe_weights
-    )
+    x_l1, result = nearfield.recover_transmission(A, samples, y, epsilon=ns.epsilon)
     if result.status == solver.INFEASIBLE:
         raise NumericalError("near-field recovery infeasible")
-    T_ls = nearfield.baseline_least_squares(
-        y, schedule, ns.B, probe_weights=T_true.probe_weights
-    )
+    x_ls = nearfield.baseline_least_squares(A, samples, y)
+    estimates = {"true": T_true.values, "l1": x_l1, "ls": x_ls}
 
     os.makedirs(ns.output_dir, exist_ok=True)
-
-    def write_T(name, T):
-        with open(os.path.join(ns.output_dir, name), "w") as fh:
+    for tag, x in estimates.items():
+        with open(os.path.join(ns.output_dir, f"T_{tag}.csv"), "w") as fh:
             fh.write("h,l,k,re,im\n")
             for h in (1, 2):
                 for l in range(1, ns.B + 1):
                     for k in range(-l, l + 1):
-                        v = T.values[nearfield.coefficient_index(h, l, k, ns.B)]
+                        v = x[nearfield.coefficient_index(h, l, k, ns.B)]
                         fh.write(f"{h},{l},{k},{_fmt_c(v)}\n")
 
-    write_T("T_true.csv", T_true)
-    write_T("T_l1.csv", T_l1)
-    write_T("T_ls.csv", T_ls)
-
     theta_grid = np.linspace(0.0, math.pi, 181)
-    cuts = {}
-    for tag, T in (("true", T_true), ("l1", T_l1), ("ls", T_ls)):
-        db, defined = nearfield.pattern_cut(T, 0.0, theta_grid)
-        cuts[tag] = (db, defined)
+    cuts = dict(zip(estimates, nearfield.pattern_cut(
+        ns.B, T_true.probe_weights, estimates.values(), 0.0, theta_grid)))
     with open(os.path.join(ns.output_dir, "pattern_cut.csv"), "w") as fh:
         fh.write("theta_deg,dB_true,dB_l1,dB_ls\n")
         for i, t in enumerate(theta_grid):
@@ -255,8 +246,8 @@ def _cmd_nearfield_sim(ns) -> int:
         "probe_weights": {f"{h},{n}": [c.real, c.imag]
                           for (h, n), c in T_true.probe_weights.items()},
         "probe_weight_condition": T_true.weight_condition(),
-        "rel_error_l1": float(np.linalg.norm(T_l1.values - T_true.values) / nrm),
-        "rel_error_ls": float(np.linalg.norm(T_ls.values - T_true.values) / nrm),
+        "rel_error_l1": float(np.linalg.norm(x_l1 - T_true.values) / nrm),
+        "rel_error_ls": float(np.linalg.norm(x_ls - T_true.values) / nrm),
         "solver_status": result.status,
         "solver_iterations": result.iterations,
         "pattern_defined": {tag: bool(cuts[tag][1]) for tag in cuts},

@@ -10,7 +10,10 @@ independent of worker scheduling.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -130,6 +133,25 @@ def _run_cell(payload) -> tuple[int, float]:
     return cell_index, successes / cfg.trials
 
 
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: the workers already fill the cores, so each
+    runs numpy's OpenBLAS on one thread (unpinned, two forked workers on two
+    cores ran a grid 2-3x slower than one process). OpenBLAS reads its thread
+    variables only when it loads, so the loaded library is set through its
+    own symbol; a numpy without a bundled OpenBLAS is left as it is."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+                break
+
+
 def phase_transition(
     template: TrialConfig,
     m_values: list[int],
@@ -148,7 +170,7 @@ def phase_transition(
     if threads <= 1:
         results = map(_run_cell, jobs)
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread) as pool:
             results = list(pool.map(_run_cell, jobs))
     for idx, rate in results:
         rates[idx] = rate

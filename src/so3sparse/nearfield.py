@@ -1,13 +1,15 @@
 """Spherical near-field measurement simulation.
 
-The forward model follows the transmission formula: each measurement is
-v * sum over probe order n, polarization h, degree l and order k of
+The forward model follows the transmission formula: each measurement is the
+sum over probe order n, polarization h, degree l and order k of
 c_{h,n} T_{hlk} D_l^{k,n} at the probe position. Coefficients are indexed
 (h, l, k) with h in {1, 2} (TE/TM), 1 <= l <= B, |k| <= l. The probe
-weights c_{h,n} are configuration: the raw formula would give both
-polarizations identical dictionary columns, so the defaults weight them
-differently (c_{1,+-1} = 1, c_{2,n} = n j) and their 2x2 matrix over n is
-reported alongside every result.
+weights c_{h,n} are configuration, and their keys (h, n) are the orders
+the dictionary uses: the raw formula would give both polarizations
+identical dictionary columns, so the defaults weight them differently
+(c_{1,+-1} = 1, c_{2,n} = n j) and their 2x2 matrix over n is reported
+alongside every result. The m x 2B(B+2) dictionary of one sample set is
+built once and passed to the forward model and both recoveries.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .wigner import _WIGNER_ENTRIES_PER_PASS, basis_count, evaluate_basis
 
 __all__ = [
     "TransmissionCoefficients",
-    "ProbeSchedule",
     "coefficient_count",
     "coefficient_index",
     "default_probe_weights",
@@ -37,7 +38,8 @@ __all__ = [
     "pattern_cut",
 ]
 
-DEFAULT_CHI_SET = (0.0, math.pi / 2)
+CHI_SET = (0.0, math.pi / 2)   # probe polarization angles of a schedule
+LS_RCOND = 1e-10               # relative singular-value cut of the LS baseline
 
 
 def coefficient_count(B: int) -> int:
@@ -53,23 +55,23 @@ def coefficient_index(h: int, l: int, k: int, B: int) -> int:
     return (h - 1) * B * (B + 2) + (l * l - 1) + (k + l)
 
 
-def default_probe_weights(v_max: int = 1) -> dict[tuple[int, int], complex]:
-    """c_{h,n} for n in {-v_max..v_max} \\ {0}; breaks the TE/TM degeneracy."""
-    weights = {}
-    for n in range(-v_max, v_max + 1):
-        if n == 0:
-            continue
-        weights[(1, n)] = 1.0 + 0.0j
-        weights[(2, n)] = 1j * n
-    return weights
+def default_probe_weights() -> dict[tuple[int, int], complex]:
+    """c_{h,n} of a first-order probe (n = +-1); breaks the TE/TM degeneracy."""
+    return {(1, -1): 1.0 + 0.0j, (2, -1): -1j, (1, 1): 1.0 + 0.0j, (2, 1): 1j}
+
+
+def _check_probe_weights(weights: dict) -> None:
+    for key in weights:
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] in (1, 2)
+                and isinstance(key[1], int) and key[1] != 0):
+            raise ValueError(f"probe weight key {key} is not (h, n) with h in (1, 2) "
+                             f"and n a nonzero integer")
 
 
 @dataclass
 class TransmissionCoefficients:
     B: int
     values: np.ndarray
-    v: complex = 1.0 + 0.0j
-    v_max: int = 1
     probe_weights: dict[tuple[int, int], complex] = field(
         default_factory=default_probe_weights
     )
@@ -81,6 +83,7 @@ class TransmissionCoefficients:
                 f"expected {coefficient_count(self.B)} coefficients, "
                 f"got shape {self.values.shape}"
             )
+        _check_probe_weights(self.probe_weights)
 
     def weight_condition(self) -> float:
         """Condition number of the (h x n) probe-weight matrix; must be
@@ -90,134 +93,89 @@ class TransmissionCoefficients:
         return float(np.linalg.cond(W))
 
 
-@dataclass
-class ProbeSchedule:
-    samples: Samples
-    chi_set: tuple[float, ...] = DEFAULT_CHI_SET
-
-    def __post_init__(self):
-        chi = self.samples.chi
-        bad = chi[~np.isin(chi, self.chi_set)]
-        if bad.size:
-            raise ValueError(f"chi={bad[0]} not in the declared set {self.chi_set}")
-
-
-def make_schedule(
-    rng: np.random.Generator,
-    m: int,
-    measure: str = sampling.PRODUCT,
-    chi_set: tuple[float, ...] = DEFAULT_CHI_SET,
-) -> ProbeSchedule:
-    """m probe positions drawn from the measure, chi drawn from chi_set."""
+def make_schedule(rng: np.random.Generator, m: int, measure: str = sampling.PRODUCT) -> Samples:
+    """m probe positions drawn from the measure, chi drawn from CHI_SET."""
     samples = sampling.sample_points(measure, rng, m)
-    samples = replace(samples, chi=rng.choice(chi_set, size=m))
-    return ProbeSchedule(samples=samples, chi_set=tuple(chi_set))
+    return replace(samples, chi=rng.choice(CHI_SET, size=m))
 
 
-def build_dictionary(T: TransmissionCoefficients, schedule: ProbeSchedule) -> np.ndarray:
+def build_dictionary(B: int, probe_weights: dict, samples: Samples) -> np.ndarray:
     """m x 2B(B+2) matrix whose (h, l, k) column is
-    v * sum_n c_{h,n} D_l^{k,n} at the probe points (orders |n| > l skipped),
-    combined from the columns of the bandwidth-(B+1) Wigner-D matrix. Only
-    its |n| <= v_max columns are used, so it is evaluated a few rows at a
-    time."""
-    pts = schedule.samples
+    sum_n c_{h,n} D_l^{k,n} at the sample points over the keys (h, n) of
+    probe_weights (orders |n| > l skipped), combined from the columns of the
+    bandwidth-(B+1) Wigner-D matrix, which is evaluated a few rows at a time."""
+    _check_probe_weights(probe_weights)
     # degree and order of each coefficient position l*l - 1 + k + l of a block
-    l = np.repeat(np.arange(1, T.B + 1), 2 * np.arange(1, T.B + 1) + 1)
+    l = np.repeat(np.arange(1, B + 1), 2 * np.arange(1, B + 1) + 1)
     k = np.arange(len(l)) + 1 - l * l - l
     col_n0 = l * (2 * l - 1) * (2 * l + 1) // 3 + (k + l) * (2 * l + 1) + l
-    terms = []   # (dictionary columns, Wigner-D columns, c_{h,n})
-    for h in (1, 2):
-        for n in range(-T.v_max, T.v_max + 1):
-            c = T.probe_weights.get((h, n), 0.0)
-            if n != 0 and c != 0.0:
-                first = n * n - 1   # position of (l, k) = (|n|, -|n|)
-                terms.append((slice((h - 1) * len(l) + first, h * len(l)), col_n0[first:] + n, c))
-    A = np.zeros((len(pts), coefficient_count(T.B)), dtype=complex)
-    step = max(1, _WIGNER_ENTRIES_PER_PASS // basis_count(T.B + 1))
-    for start in range(0, len(pts), step):
+    # (dictionary columns, Wigner-D columns, c_{h,n}); n*n - 1 is the position
+    # of (l, k) = (|n|, -|n|), and sorting keeps n ascending within each h
+    terms = [(slice((h - 1) * len(l) + n * n - 1, h * len(l)), col_n0[n * n - 1:] + n, c)
+             for (h, n), c in sorted(probe_weights.items())]
+    A = np.zeros((len(samples), coefficient_count(B)), dtype=complex)
+    step = max(1, _WIGNER_ENTRIES_PER_PASS // basis_count(B + 1))
+    for start in range(0, len(samples), step):
         rows = slice(start, start + step)
-        D = evaluate_basis(T.B + 1, pts.theta[rows], pts.phi[rows], pts.chi[rows])
+        D = evaluate_basis(B + 1, samples.theta[rows], samples.phi[rows], samples.chi[rows])
         for cols, src, c in terms:
             A[rows, cols] += c * D[:, src]
-    return T.v * A
+    return A
 
 
-def transmission_forward(
-    T: TransmissionCoefficients, schedule: ProbeSchedule
-) -> np.ndarray:
-    """Near-field samples at the scheduled probe positions."""
-    return build_dictionary(T, schedule) @ T.values
+def transmission_forward(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Near-field samples of coefficient vector x under dictionary A."""
+    return A @ x
 
 
 def recover_transmission(
+    A: np.ndarray,
+    samples: Samples,
     y: np.ndarray,
-    schedule: ProbeSchedule,
-    B: int,
-    cfg: SolverConfig | None = None,
     epsilon: float = 0.0,
-    v: complex = 1.0 + 0.0j,
-    v_max: int = 1,
-    probe_weights: dict | None = None,
-) -> tuple[TransmissionCoefficients, SolverResult]:
-    """l1 recovery of the transmission coefficients from near-field samples."""
-    template = TransmissionCoefficients(
-        B, np.zeros(coefficient_count(B)), v=v, v_max=v_max,
-        probe_weights=probe_weights or default_probe_weights(v_max),
-    )
-    A = build_dictionary(template, schedule)
-    system = precondition(schedule.samples, A, y, epsilon)
+    cfg: SolverConfig | None = None,
+) -> tuple[np.ndarray, SolverResult]:
+    """l1 recovery of the transmission coefficients from near-field samples
+    y taken at `samples` with dictionary A."""
+    system = precondition(samples, A, y, epsilon)
     result = bpdn_ball(system.A, system.y, system.radius, cfg)
-    recovered = TransmissionCoefficients(
-        B, result.x, v=v, v_max=v_max, probe_weights=template.probe_weights
-    )
-    return recovered, result
+    return result.x, result
 
 
-def baseline_least_squares(
-    y: np.ndarray,
-    schedule: ProbeSchedule,
-    B: int,
-    v: complex = 1.0 + 0.0j,
-    v_max: int = 1,
-    probe_weights: dict | None = None,
-    rcond: float = 1e-10,
-) -> TransmissionCoefficients:
+def baseline_least_squares(A: np.ndarray, samples: Samples, y: np.ndarray) -> np.ndarray:
     """Minimum-norm truncated-SVD solution of the same preconditioned system,
     standing in for the classical pipeline at equal measurement count."""
-    template = TransmissionCoefficients(
-        B, np.zeros(coefficient_count(B)), v=v, v_max=v_max,
-        probe_weights=probe_weights or default_probe_weights(v_max),
-    )
-    A = build_dictionary(template, schedule)
-    system = precondition(schedule.samples, A, y)
-    x = np.linalg.pinv(system.A, rcond=rcond) @ system.y
-    return TransmissionCoefficients(
-        B, x, v=v, v_max=v_max, probe_weights=template.probe_weights
-    )
+    system = precondition(samples, A, y)
+    return np.linalg.pinv(system.A, rcond=LS_RCOND) @ system.y
 
 
 def pattern_cut(
-    T: TransmissionCoefficients,
+    B: int,
+    probe_weights: dict,
+    coefficients,
     phi_cut: float,
     theta_grid: np.ndarray,
     chi: float = 0.0,
-) -> tuple[np.ndarray, bool]:
-    """Synthesis magnitude along a phi-cut, in dB normalized to 0 dB peak.
+) -> list[tuple[np.ndarray, bool]]:
+    """Synthesis magnitude of each coefficient vector along a phi-cut, in dB
+    normalized to its 0 dB peak, from one cut dictionary.
 
-    Returns (dB array, defined flag); an all-zero pattern yields NaNs and
-    defined=False.
+    Returns one (dB array, defined flag) per vector; an all-zero pattern
+    yields NaNs and defined=False.
     """
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     if theta_grid.size == 0:
         raise ValueError("empty theta grid")
-    samples = Samples(theta_grid, np.full_like(theta_grid, phi_cut),
-                      np.full_like(theta_grid, chi), sampling.PRODUCT)
-    schedule = ProbeSchedule(samples=samples, chi_set=(float(chi),))
-    y = transmission_forward(T, schedule)
-    mag = np.abs(y)
-    peak = mag.max()
-    if peak == 0.0:
-        return np.full_like(mag, np.nan), False
-    with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(mag / peak)
-    return db, True
+    cut = Samples(theta_grid, np.full_like(theta_grid, phi_cut),
+                  np.full_like(theta_grid, chi), sampling.PRODUCT)
+    A = build_dictionary(B, probe_weights, cut)
+    out = []
+    for x in coefficients:
+        mag = np.abs(transmission_forward(A, x))
+        peak = mag.max()
+        if peak == 0.0:
+            out.append((np.full_like(mag, np.nan), False))
+            continue
+        with np.errstate(divide="ignore"):
+            out.append((20.0 * np.log10(mag / peak), True))
+    return out

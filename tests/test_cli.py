@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from so3sparse import cli, sampling, sensing, solver
+from so3sparse import cli, nearfield, sampling, sensing, solver
 from so3sparse.experiments import COMPLEX_GAUSSIAN, gen_sparse
 from so3sparse.wigner import basis_count
 
@@ -151,6 +151,34 @@ def test_nearfield_sim_outputs_and_rerun(tmp_path):
     assert rc == 0
     for name in ("T_true.csv", "T_l1.csv", "T_ls.csv", "pattern_cut.csv"):
         assert _read(out / name) == _read(out2 / name)
+
+
+@pytest.mark.parametrize("key", ["3", "3,1", "1,0"])
+def test_nearfield_sim_rejects_bad_probe_weight_key(key, tmp_path, capsys):
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"1,-1": [1, 0], "1,1": [1, 0], "2,-1": [0, -1],
+                                   "2,1": [0, 1], key: [0.5, 0]}))
+    out = tmp_path / "nf"
+    assert cli.run(["nearfield-sim", "--B", "2", "--s", "3", "--m", "40",
+                    "--probe-weights", str(weights), "--output-dir", str(out)]) == 1
+    assert "error: config: probe weight key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nearfield_sim_builds_two_dictionaries(tmp_path, monkeypatch):
+    # one m-row dictionary for y, l1 and LS; one cut dictionary for all three cuts
+    calls = []
+    build = nearfield.build_dictionary
+
+    def counted(*args, **kwargs):
+        A = build(*args, **kwargs)
+        calls.append(A.shape[0])
+        return A
+
+    monkeypatch.setattr(nearfield, "build_dictionary", counted)
+    assert cli.run(["nearfield-sim", "--B", "2", "--s", "3", "--m", "40",
+                    "--output-dir", str(tmp_path / "nf")]) == 0
+    assert calls == [40, 181]
 
 
 def test_phase_transition_threads_byte_identical(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from so3sparse import sampling
 from so3sparse.experiments import COMPLEX_GAUSSIAN, gen_sparse
 from so3sparse.nearfield import (
-    ProbeSchedule,
+    CHI_SET,
     TransmissionCoefficients,
     baseline_least_squares,
     build_dictionary,
@@ -18,18 +18,16 @@ from so3sparse.nearfield import (
     recover_transmission,
     transmission_forward,
 )
-from so3sparse.sampling import Samples
 from so3sparse.sensing import build_matrix
 from so3sparse.solver import SolverConfig
 from so3sparse.wigner import _WIGNER_ENTRIES_PER_PASS, WignerIndex, basis_count, wigner_D
 
 TIGHT = SolverConfig(primal_tolerance=1e-9, dual_tolerance=1e-9)
+WEIGHTS = default_probe_weights()
 
 
-def _coeffs(B, values=None, **kw):
-    if values is None:
-        values = np.zeros(coefficient_count(B))
-    return TransmissionCoefficients(B, values, **kw)
+def _dictionary(B, sched, weights=WEIGHTS):
+    return build_dictionary(B, weights, sched)
 
 
 def test_coefficient_count_and_index_bijection():
@@ -44,15 +42,21 @@ def test_coefficient_count_and_index_bijection():
         assert sorted(seen) == list(range(coefficient_count(B)))
 
 
-def test_schedule_rejects_undeclared_chi():
-    pt = Samples([0.3], [0.1], [1.0], sampling.PRODUCT)
-    with pytest.raises(ValueError):
-        ProbeSchedule(pt, chi_set=(0.0, math.pi / 2))
+def test_schedule_draws_points_then_chi():
+    # the positions are sample_points' draws bit for bit; chi comes after
+    # them from the same generator and only takes the probe's angles
+    for measure in sampling.MEASURES:
+        sched = make_schedule(np.random.default_rng(12), 64, measure)
+        pts = sampling.sample_points(measure, np.random.default_rng(12), 64)
+        assert sched.measure == measure
+        np.testing.assert_array_equal(sched.theta, pts.theta)
+        np.testing.assert_array_equal(sched.phi, pts.phi)
+        assert np.isin(sched.chi, CHI_SET).all()
 
 
 def test_forward_zero():
     sched = make_schedule(np.random.default_rng(0), 6)
-    y = transmission_forward(_coeffs(3), sched)
+    y = transmission_forward(_dictionary(3, sched), np.zeros(coefficient_count(3)))
     np.testing.assert_array_equal(y, 0)
 
 
@@ -62,9 +66,8 @@ def test_forward_single_atom():
     weights = {(1, -1): 1.0 + 0j, (1, 1): 1.0 + 0j, (2, -1): -1j, (2, 1): 1j}
     values = np.zeros(coefficient_count(2), dtype=complex)
     values[coefficient_index(1, 1, 0, 2)] = 1.0
-    T = _coeffs(2, values, probe_weights=weights)
-    y = transmission_forward(T, sched)
-    th, ph, ch = sched.samples.theta, sched.samples.phi, sched.samples.chi
+    y = transmission_forward(_dictionary(2, sched, weights), values)
+    th, ph, ch = sched.theta, sched.phi, sched.chi
     expected = wigner_D(1, 0, -1, th, ph, ch) + wigner_D(1, 0, 1, th, ph, ch)
     np.testing.assert_allclose(y, expected, atol=1e-13)
 
@@ -73,22 +76,19 @@ def test_forward_matches_quadruple_loop():
     rng = np.random.default_rng(2)
     B = 3
     sched = make_schedule(rng, 5)
-    T = _coeffs(B, gen_sparse(coefficient_count(B), 4, COMPLEX_GAUSSIAN, rng))
-    y = transmission_forward(T, sched)
+    values = gen_sparse(coefficient_count(B), 4, COMPLEX_GAUSSIAN, rng)
+    y = transmission_forward(_dictionary(B, sched), values)
     expected = np.zeros(5, dtype=complex)
-    pts = sched.samples
-    for i, (theta, phi, chi) in enumerate(zip(pts.theta, pts.phi, pts.chi)):
+    for i, (theta, phi, chi) in enumerate(zip(sched.theta, sched.phi, sched.chi)):
         for n in (-1, 1):
             for h in (1, 2):
                 for l in range(1, B + 1):
                     for k in range(-l, l + 1):
                         if abs(n) > l:
                             continue
-                        c = T.probe_weights[(h, n)]
-                        t = T.values[coefficient_index(h, l, k, B)]
-                        expected[i] += T.v * c * t * wigner_D(
-                            l, k, n, theta, phi, chi
-                        )
+                        c = WEIGHTS[(h, n)]
+                        t = values[coefficient_index(h, l, k, B)]
+                        expected[i] += c * t * wigner_D(l, k, n, theta, phi, chi)
     np.testing.assert_allclose(y, expected, atol=1e-12)
 
 
@@ -98,43 +98,49 @@ def test_dictionary_matches_weighted_sensing_matrices():
     rng = np.random.default_rng(3)
     B = 2
     sched = make_schedule(rng, 4)
-    T = _coeffs(B)
-    A = build_dictionary(T, sched)
-    full = build_matrix(sched.samples, B + 1)
+    A = _dictionary(B, sched)
+    full = build_matrix(sched, B + 1)
     for h in (1, 2):
         for l in range(1, B + 1):
             for k in range(-l, l + 1):
                 col = np.zeros(4, dtype=complex)
                 for n in (-1, 1):
-                    col += T.probe_weights[(h, n)] * full[
-                        :, WignerIndex(l, k, n, B + 1).column
-                    ]
+                    col += WEIGHTS[(h, n)] * full[:, WignerIndex(l, k, n, B + 1).column]
                 np.testing.assert_allclose(
                     A[:, coefficient_index(h, l, k, B)], col, atol=1e-12
                 )
 
 
-def test_dictionary_matches_per_column_sum_v_max_2():
-    # orders |n| = 2 exist only from l = 2 on, so degree 1 skips them
+def test_dictionary_uses_every_weight_key():
+    # orders |n| = 2 exist only from l = 2 on and n = 3 only at l = 3, so
+    # lower degrees skip them; every key is a term, whatever its order
     rng = np.random.default_rng(9)
-    B, v_max, v = 3, 2, 0.5 - 2j
+    B = 3
     weights = {(1, -2): 0.3 - 1j, (1, -1): 1.0, (1, 1): -0.7j, (1, 2): 2.0,
                (2, -2): 1j, (2, -1): 0.4, (2, 1): -1.5 + 0.2j, (2, 2): -0.6,
-               (1, 3): 5.0, (2, 0): 7.0}  # |n| > v_max and n = 0 are never used
+               (1, 3): 5.0}
     sched = make_schedule(rng, 6)
-    T = _coeffs(B, v=v, v_max=v_max, probe_weights=weights)
-    A = build_dictionary(T, sched)
-    pts = sched.samples
+    A = _dictionary(B, sched, weights)
     for h in (1, 2):
         for l in range(1, B + 1):
             for k in range(-l, l + 1):
                 col = np.zeros(6, dtype=complex)
-                for n in (-2, -1, 1, 2):
+                for n in (-3, -2, -1, 1, 2, 3):
                     if abs(n) <= l:
-                        col += weights[(h, n)] * wigner_D(l, k, n, pts.theta, pts.phi, pts.chi)
+                        col += weights.get((h, n), 0.0) * wigner_D(
+                            l, k, n, sched.theta, sched.phi, sched.chi)
                 np.testing.assert_allclose(
-                    A[:, coefficient_index(h, l, k, B)], v * col, rtol=0, atol=1e-13
+                    A[:, coefficient_index(h, l, k, B)], col, rtol=0, atol=1e-13
                 )
+
+
+@pytest.mark.parametrize("key", [(2, 0), (3, 1), (0, -1), (1,), (1, 1, 1), (1, 1.5)])
+def test_probe_weight_keys_are_validated(key):
+    weights = {**WEIGHTS, key: 7.0}
+    with pytest.raises(ValueError, match="probe weight key"):
+        TransmissionCoefficients(2, np.zeros(coefficient_count(2)), probe_weights=weights)
+    with pytest.raises(ValueError, match="probe weight key"):
+        _dictionary(2, make_schedule(np.random.default_rng(0), 3), weights)
 
 
 def test_dictionary_row_blocks_match_one_pass():
@@ -144,20 +150,19 @@ def test_dictionary_row_blocks_match_one_pass():
     B, m = 12, 50
     assert 2 * (_WIGNER_ENTRIES_PER_PASS // basis_count(B + 1)) < m
     sched = make_schedule(rng, m)
-    T = _coeffs(B)
-    full = build_matrix(sched.samples, B + 1)
+    full = build_matrix(sched, B + 1)
     ref = np.zeros((m, coefficient_count(B)), dtype=complex)
     for h in (1, 2):
         for l in range(1, B + 1):
             for k in range(-l, l + 1):
                 for n in (-1, 1):
                     ref[:, coefficient_index(h, l, k, B)] += (
-                        T.probe_weights[(h, n)] * full[:, WignerIndex(l, k, n, B + 1).column])
-    np.testing.assert_allclose(build_dictionary(T, sched), T.v * ref, rtol=0, atol=1e-13)
+                        WEIGHTS[(h, n)] * full[:, WignerIndex(l, k, n, B + 1).column])
+    np.testing.assert_allclose(_dictionary(B, sched), ref, rtol=0, atol=1e-13)
 
 
 def test_probe_weight_condition_finite():
-    assert _coeffs(2).weight_condition() < 10.0
+    assert TransmissionCoefficients(2, np.zeros(coefficient_count(2))).weight_condition() < 10.0
 
 
 def test_recover_square_system_exact():
@@ -165,10 +170,10 @@ def test_recover_square_system_exact():
     B = 3
     n = coefficient_count(B)
     sched = make_schedule(rng, n)
-    T = _coeffs(B, gen_sparse(n, 5, COMPLEX_GAUSSIAN, rng))
-    y = transmission_forward(T, sched)
-    rec, res = recover_transmission(y, sched, B, cfg=TIGHT)
-    assert np.linalg.norm(rec.values - T.values) / np.linalg.norm(T.values) < 1e-6
+    values = gen_sparse(n, 5, COMPLEX_GAUSSIAN, rng)
+    A = _dictionary(B, sched)
+    rec, res = recover_transmission(A, sched, transmission_forward(A, values), cfg=TIGHT)
+    assert np.linalg.norm(rec - values) / np.linalg.norm(values) < 1e-6
 
 
 def test_l1_beats_least_squares_underdetermined():
@@ -178,13 +183,14 @@ def test_l1_beats_least_squares_underdetermined():
         rng = np.random.default_rng(100 + seed)
         B, s, m = 5, 8, 48
         sched = make_schedule(rng, m)
-        T = _coeffs(B, gen_sparse(coefficient_count(B), s, COMPLEX_GAUSSIAN, rng))
-        y = transmission_forward(T, sched)
-        rec, _ = recover_transmission(y, sched, B, cfg=TIGHT)
-        ls = baseline_least_squares(y, sched, B)
-        nrm = np.linalg.norm(T.values)
-        errs_l1.append(np.linalg.norm(rec.values - T.values) / nrm)
-        errs_ls.append(np.linalg.norm(ls.values - T.values) / nrm)
+        values = gen_sparse(coefficient_count(B), s, COMPLEX_GAUSSIAN, rng)
+        A = _dictionary(B, sched)
+        y = transmission_forward(A, values)
+        rec, _ = recover_transmission(A, sched, y, cfg=TIGHT)
+        ls = baseline_least_squares(A, sched, y)
+        nrm = np.linalg.norm(values)
+        errs_l1.append(np.linalg.norm(rec - values) / nrm)
+        errs_ls.append(np.linalg.norm(ls - values) / nrm)
     assert np.median(errs_l1) < 1e-3
     assert np.median(errs_ls) > 1e-2
     assert np.median(errs_ls) > 10 * np.median(errs_l1)
@@ -195,26 +201,27 @@ def test_least_squares_overdetermined_exact():
     B = 2
     n = coefficient_count(B)
     sched = make_schedule(rng, 3 * n)
-    T = _coeffs(B, gen_sparse(n, 3, COMPLEX_GAUSSIAN, rng))
-    y = transmission_forward(T, sched)
-    ls = baseline_least_squares(y, sched, B)
-    assert np.linalg.norm(ls.values - T.values) / np.linalg.norm(T.values) < 1e-10
+    values = gen_sparse(n, 3, COMPLEX_GAUSSIAN, rng)
+    A = _dictionary(B, sched)
+    ls = baseline_least_squares(A, sched, transmission_forward(A, values))
+    assert np.linalg.norm(ls - values) / np.linalg.norm(values) < 1e-10
 
 
 def test_least_squares_zero_data():
     sched = make_schedule(np.random.default_rng(6), 8)
-    ls = baseline_least_squares(np.zeros(8, dtype=complex), sched, 2)
-    np.testing.assert_allclose(ls.values, 0, atol=1e-14)
+    ls = baseline_least_squares(_dictionary(2, sched), sched, np.zeros(8, dtype=complex))
+    np.testing.assert_allclose(ls, 0, atol=1e-14)
 
 
 def test_recover_with_noise_stays_feasible():
     rng = np.random.default_rng(7)
     B, m, eps = 2, 40, 1e-3
     sched = make_schedule(rng, m)
-    T = _coeffs(B, gen_sparse(coefficient_count(B), 3, COMPLEX_GAUSSIAN, rng))
-    y = transmission_forward(T, sched)
+    values = gen_sparse(coefficient_count(B), 3, COMPLEX_GAUSSIAN, rng)
+    A = _dictionary(B, sched)
+    y = transmission_forward(A, values)
     y = y + eps * 0.5 * np.exp(1j * rng.uniform(0, 2 * math.pi, m))
-    rec, res = recover_transmission(y, sched, B, epsilon=eps, cfg=TIGHT)
+    rec, res = recover_transmission(A, sched, y, epsilon=eps, cfg=TIGHT)
     assert res.status == "Converged"
 
 
@@ -223,14 +230,14 @@ def test_pattern_cut_scale_invariance_and_atom():
     B = 2
     values = gen_sparse(coefficient_count(B), 3, COMPLEX_GAUSSIAN, rng)
     theta_grid = np.linspace(0.01, math.pi - 0.01, 91)
-    db1, ok1 = pattern_cut(_coeffs(B, values), 0.3, theta_grid)
-    db2, ok2 = pattern_cut(_coeffs(B, (2.5 - 1j) * values), 0.3, theta_grid)
+    (db1, ok1), (db2, ok2) = pattern_cut(B, WEIGHTS, [values, (2.5 - 1j) * values],
+                                         0.3, theta_grid)
     assert ok1 and ok2
     np.testing.assert_allclose(db1, db2, atol=1e-10)
     # single atom: pattern matches direct |D| synthesis on the cut
     v = np.zeros(coefficient_count(B), dtype=complex)
     v[coefficient_index(1, 1, 0, B)] = 1.0
-    db, ok = pattern_cut(_coeffs(B, v), 0.0, theta_grid, chi=0.0)
+    [(db, ok)] = pattern_cut(B, WEIGHTS, [v], 0.0, theta_grid, chi=0.0)
     direct = np.abs(
         wigner_D(1, 0, -1, theta_grid, 0.0, 0.0) + wigner_D(1, 0, 1, theta_grid, 0.0, 0.0)
     )
@@ -238,17 +245,32 @@ def test_pattern_cut_scale_invariance_and_atom():
         np.testing.assert_allclose(db, 20 * np.log10(direct / direct.max()), atol=1e-10)
 
 
+def test_pattern_cut_vectors_match_single_cuts():
+    # one cut dictionary serves every vector, bit for bit as if each were cut alone
+    rng = np.random.default_rng(10)
+    B = 3
+    xs = [gen_sparse(coefficient_count(B), s, COMPLEX_GAUSSIAN, rng) for s in (1, 4, 30)]
+    xs.append(np.zeros(coefficient_count(B)))
+    theta_grid = np.linspace(0.0, math.pi, 37)
+    together = pattern_cut(B, WEIGHTS, xs, 0.7, theta_grid, chi=math.pi / 2)
+    assert len(together) == len(xs)
+    for x, (db, ok) in zip(xs, together):
+        [(db1, ok1)] = pattern_cut(B, WEIGHTS, [x], 0.7, theta_grid, chi=math.pi / 2)
+        assert ok == ok1
+        np.testing.assert_array_equal(db, db1)
+
+
 def test_pattern_cut_zero_flag():
-    db, ok = pattern_cut(_coeffs(2), 0.0, np.linspace(0, math.pi, 11))
+    [(db, ok)] = pattern_cut(2, WEIGHTS, [np.zeros(coefficient_count(2))], 0.0,
+                             np.linspace(0, math.pi, 11))
     assert not ok
     assert np.all(np.isnan(db))
 
 
 def test_pattern_cut_rejects_empty_grid():
     with pytest.raises(ValueError):
-        pattern_cut(_coeffs(2), 0.0, np.array([]))
+        pattern_cut(2, WEIGHTS, [np.zeros(coefficient_count(2))], 0.0, np.array([]))
 
 
 def test_default_probe_weights_shape():
-    w = default_probe_weights(1)
-    assert set(w) == {(1, -1), (1, 1), (2, -1), (2, 1)}
+    assert set(default_probe_weights()) == {(1, -1), (1, 1), (2, -1), (2, 1)}
