@@ -15,7 +15,7 @@ built once and passed to the forward model and both recoveries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,10 +26,10 @@ from .solver import SolverConfig, SolverResult, bpdn_ball
 from .wigner import _WIGNER_ENTRIES_PER_PASS, basis_count, evaluate_basis
 
 __all__ = [
-    "TransmissionCoefficients",
     "coefficient_count",
     "coefficient_index",
     "default_probe_weights",
+    "weight_condition",
     "make_schedule",
     "build_dictionary",
     "transmission_forward",
@@ -68,29 +68,13 @@ def _check_probe_weights(weights: dict) -> None:
                              f"and n a nonzero integer")
 
 
-@dataclass
-class TransmissionCoefficients:
-    B: int
-    values: np.ndarray
-    probe_weights: dict[tuple[int, int], complex] = field(
-        default_factory=default_probe_weights
-    )
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (coefficient_count(self.B),):
-            raise ValueError(
-                f"expected {coefficient_count(self.B)} coefficients, "
-                f"got shape {self.values.shape}"
-            )
-        _check_probe_weights(self.probe_weights)
-
-    def weight_condition(self) -> float:
-        """Condition number of the (h x n) probe-weight matrix; must be
-        finite for the two polarization blocks to be separable."""
-        ns = sorted({n for (_, n) in self.probe_weights})
-        W = np.array([[self.probe_weights.get((h, n), 0.0) for n in ns] for h in (1, 2)])
-        return float(np.linalg.cond(W))
+def weight_condition(probe_weights: dict) -> float:
+    """Condition number of the (h x n) probe-weight matrix; must be finite
+    for the two polarization blocks to be separable."""
+    _check_probe_weights(probe_weights)
+    ns = sorted({n for (_, n) in probe_weights})
+    W = np.array([[probe_weights.get((h, n), 0.0) for n in ns] for h in (1, 2)])
+    return float(np.linalg.cond(W))
 
 
 def make_schedule(rng: np.random.Generator, m: int, measure: str = sampling.PRODUCT) -> Samples:

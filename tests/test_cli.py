@@ -106,16 +106,19 @@ def test_existing_output_requires_force(tmp_path, capsys):
     assert "stale" not in (out / "bounds.csv").read_text()
 
 
-def test_recover_round_trip(tmp_path, capsys):
+def _save_problem(path):
+    """A B=2 problem from 60 product samples of a 3-sparse vector, which it returns."""
     rng = np.random.default_rng(11)
-    B = 2
-    N = basis_count(B)
-    x = gen_sparse(N, 3, COMPLEX_GAUSSIAN, rng)
+    x = gen_sparse(basis_count(2), 3, COMPLEX_GAUSSIAN, rng)
     points = sampling.sample_points(sampling.PRODUCT, rng, 60)
-    y = sensing.forward(sensing.CoefficientVector(B, x), points)
-    problem = sensing.make_problem(points, B, y)
+    y = sensing.forward(sensing.CoefficientVector(2, x), points)
+    sensing.save_problem(str(path), sensing.make_problem(points, 2, y))
+    return x
+
+
+def test_recover_round_trip(tmp_path, capsys):
     pdir = tmp_path / "problem"
-    sensing.save_problem(str(pdir), problem)
+    x = _save_problem(pdir)
     out = tmp_path / "solve"
     rc = cli.run(["recover", "--problem-dir", str(pdir),
                   "--output-dir", str(out), "--tol", "1e-9"])
@@ -200,6 +203,71 @@ def test_phase_transition_threads_byte_identical(tmp_path):
     assert cli.run(["rerun", str(out1 / "manifest.json"),
                     "--output-dir", str(out3)]) == 0
     assert _read(out1 / "grid.csv") == _read(out3 / "grid.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound-scan", "--B-list", "1,2", "--grid", "64"],
+    ["phase-transition", "--config", "{cfg}"],
+    ["recover", "--problem-dir", "{problem}"],
+    ["nearfield-sim", "--B", "2", "--s", "3", "--m", "40"],
+])
+def test_artifact_command_writes_its_declared_outputs(argv, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"B": 2, "m_values": [4], "s_values": [1], "trials": 2}))
+    argv = [a.format(cfg=cfg, problem=tmp_path / "problem") for a in argv]
+    if argv[0] == "recover":
+        _save_problem(tmp_path / "problem")
+    out = tmp_path / "out"
+    argv += ["--output-dir", str(out)]
+    assert cli.run(argv) == 0
+    declared = cli._build_parser().parse_args(argv).outputs
+    assert sorted(os.listdir(out)) == sorted([*declared, "manifest.json"])
+
+
+def test_phase_transition_without_config_exit_code(tmp_path, capsys):
+    out = tmp_path / "pt"
+    assert cli.run(["phase-transition", "--output-dir", str(out)]) == 1
+    assert "error: config:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ([1, 2], "not a JSON object"),
+    ({"B": 2, "m_values": [4], "s_values": [1], "trails": 2}, "['trails']"),
+])
+def test_phase_transition_rejects_config_that_is_not_its_keys(cfg, named, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "pt"
+    assert cli.run(["phase-transition", "--config", str(path), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: config:" in err and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("manifest", [{}, [1, 2], {"subcommand": "bound-scan"}])
+def test_rerun_malformed_manifest_exit_code(manifest, tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert cli.run(["rerun", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "error: config: malformed manifest" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_nearfield_rerun_from_another_directory(tmp_path, monkeypatch):
+    # the manifest stores the probe-weights path absolute, as typed it is relative
+    (tmp_path / "w.json").write_text(json.dumps(
+        {"1,-1": [1, 0], "1,1": [1, 0], "2,-1": [0, -1], "2,1": [0, 1], "1,2": [0.5, 0.1]}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["nearfield-sim", "--B", "2", "--s", "3", "--m", "40",
+                    "--probe-weights", "w.json", "--output-dir", "nf"]) == 0
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert cli.run(["rerun", str(tmp_path / "nf" / "manifest.json"),
+                    "--output-dir", "nf2"]) == 0
+    for name in ("T_true.csv", "T_l1.csv", "T_ls.csv", "pattern_cut.csv", "report.json"):
+        assert _read(tmp_path / "nf" / name) == _read(elsewhere / "nf2" / name)
 
 
 def test_manifest_records_invocation(tmp_path):
