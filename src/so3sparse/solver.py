@@ -1,33 +1,30 @@
 """Complex l1 recovery by one ADMM loop, with a dual-certificate check.
 
 `bpdn_ball` solves min sum|x_j| subject to ||A x - y||_2 <= radius, and
-`basis_pursuit` is its radius-0 case, A x = y. The splitting is x = z,
-Ax - y = w with w constrained to the ell2-ball and z updated by complex
-soft thresholding. The x-update solves (I + A*A) x = rhs through the
-Woodbury identity, x = rhs - A* q with q = C^{-1} A rhs and C = I + A A*,
-so only an m x m system is ever solved. A x = A rhs - (C - I) q = q comes
-for free, and the other A* products of an iteration are multiples of A* v
-for the ball-projection argument v, so an iteration costs three matvecs.
+`basis_pursuit` is its radius-0 case, A x = y. The splitting is x = z
+(Boyd et al. 2011, section 6.2): x is the exact projection of z - u onto
+the data ball {x : ||A x - y|| <= radius} and z is updated by complex soft
+thresholding, so x - z is the only primal residual and an iteration costs
+two matvecs and a soft threshold.
 
-The set-up is one Hermitian eigendecomposition A A* = V diag(lam) V*.
-It gives the cached C^{-1} A = V (V* A / (1 + lam)) (the eigenvalues of C
-are >= 1, so this is well conditioned) and the distance of y from the
-range of A, ||V* y|| over the eigenvalues at or below the rank cut
-lam_max * max(m, N) * eps. That distance decides `Infeasible`. The cut is
-numpy's `lstsq` rcond applied to lam = sigma^2 instead of to sigma: it
-agrees with `lstsq` whenever no singular value lies between
-max(m, N) * eps * sigma_max and sqrt(max(m, N) * eps) * sigma_max, and
-below that band eigh cannot resolve lam from rounding anyway.
+The set-up is one eigendecomposition A A* = V diag(lam) V*, cut at
+lam_max * max(m, N) * eps. With W = V* A and c = W q - V* y over the kept
+eigenvalues, the projection of q is q - W* diag(g) c: g = 1/lam at radius
+0 (the pseudo-inverse), q itself when ||c|| <= radius, and otherwise
+g = mu/(1 + mu lam) with mu the root of sum |c_i|^2/(1 + mu lam_i)^2 =
+radius^2, found by Newton steps on 1/||.|| - 1/radius from the previous
+root (More & Sorensen 1983). V* y below the cut is the distance of y from
+range(A): a constant in that sum, and the test for `Infeasible`. The cut
+on lam = sigma^2 drops directions that numpy's `lstsq` keeps with its cut
+on sigma, so an `Infeasible` distance is confirmed on an SVD basis of A,
+cut on sigma, which the solve then uses if y is in the range after all.
 
-The penalty starts at rho_0 = 4 and is rebalanced every 10 iterations
+The penalty starts at rho_0 = 16 and is rebalanced every 10 iterations
 when the primal and dual residuals differ by 10x (residual balancing,
-He, Yang & Wang 2000). Against rho_0 = 1, the start of 4 took the two
-50-trial B=5 phase-transition grids from 467818 to 350157 iterations
-with the success count of every cell unchanged, and 22 near-field
-simulations (B=12, s=16, m=200) from 47461 to 46717. Starts scaled by
-the problem were measured and rejected: sqrt(N)/||y|| needed 2.5 %
-fewer iterations than rho_0 = 4 on a 120-trial grid but 27 % more on
-the near-field simulations, and sqrt(N/m) needed more on both.
+He, Yang & Wang 2000). Starts of 1, 4 and 16 took the two 50-trial B=5
+phase-transition grids to 323264, 232830 and 232831 iterations, and 10
+near-field solves (B=12, s=16, m=200, eps=1e-3, both measures, seeds
+0-4) to 10318, 10011 and 6378, with every trial's success unchanged.
 
 The dual residual and its tolerance are only evaluated when the primal
 test passes, on a rebalance iteration or on the last allowed one, the
@@ -62,8 +59,10 @@ CONVERGED = "Converged"
 MAX_ITER = "MaxIter"
 INFEASIBLE = "Infeasible"
 
-_PENALTY = 4.0           # initial ADMM penalty rho, rebalanced as the loop runs
+_PENALTY = 16.0          # initial ADMM penalty rho, rebalanced as the loop runs
 _OVER_RELAXATION = 1.6
+_SECULAR_STEPS = 50      # cap on the Newton steps of one ball projection
+_SECULAR_TOLERANCE = 1e-9
 _CERTIFICATE_ITERATIONS = 500
 _CERTIFICATE_PENALTY = 1.0
 
@@ -117,6 +116,54 @@ def basis_pursuit(A: np.ndarray, y: np.ndarray, cfg: SolverConfig | None = None)
     return bpdn_ball(A, y, 0.0, cfg)
 
 
+class _DataBall:
+    """Euclidean projection onto {x : ||A x - y|| <= radius} by the cached
+    eigenbasis of the module docstring, or by an SVD basis with `exact_rank`."""
+
+    def __init__(self, A: np.ndarray, y: np.ndarray, radius: float, exact_rank: bool = False):
+        m, N = A.shape
+        cut = max(m, N) * np.finfo(float).eps
+        if exact_rank:    # the cut applies to sigma, as in lstsq
+            V, sigma, _ = np.linalg.svd(A)
+            lam = np.pad(sigma, (0, m - sigma.size)) ** 2
+            keep = lam > (sigma[0] * cut) ** 2
+        else:
+            lam, V = np.linalg.eigh(A @ A.conj().T)
+            keep = lam > lam[-1] * cut
+        Vty = V.conj().T @ y
+        self.distance = _norm(Vty[~keep])
+        self.W = V[:, keep].conj().T @ A
+        self.Wt = self.W.conj().T
+        self.Vty = Vty[keep]
+        self.lam = lam[keep]
+        # radius^2 minus the constant part of the misfit below the cut
+        self.target = math.sqrt(max(radius * radius - self.distance ** 2, 0.0))
+        self.mu = 0.0    # last root, the next Newton start
+
+    def project(self, q: np.ndarray) -> np.ndarray:
+        c = self.W @ q - self.Vty
+        t = self.target
+        if t == 0.0:
+            return q - self.Wt @ (c / self.lam)
+        a = (c * c.conj()).real
+        if math.sqrt(a.sum()) <= t:
+            return q
+        # Newton on 1/psi(mu) - 1/t, psi(mu)^2 = sum a/(1 + mu lam)^2, which is
+        # concave and increasing: one step lands left of the root, and from
+        # there the steps rise to it
+        lam, mu = self.lam, self.mu
+        for _ in range(_SECULAR_STEPS):
+            s = 1.0 / (1.0 + mu * lam)
+            a_s2 = a * s * s
+            psi2 = a_s2.sum()
+            psi = math.sqrt(psi2)
+            mu = max(mu + (psi - t) * psi2 / (t * np.dot(a_s2 * s, lam)), 0.0)
+            if abs(psi - t) <= _SECULAR_TOLERANCE * t:
+                break
+        self.mu = mu
+        return q - self.Wt @ (c * (mu / (1.0 + mu * lam)))
+
+
 def bpdn_ball(
     A: np.ndarray, y: np.ndarray, radius: float, cfg: SolverConfig | None = None
 ) -> SolverResult:
@@ -126,92 +173,54 @@ def bpdn_ball(
     cfg = cfg or SolverConfig()
     A = np.asarray(A, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    m, N = A.shape
+    N = A.shape[1]
     y_norm = _norm(y)
     if y_norm <= radius:
         return SolverResult(x=np.zeros(N, dtype=complex), iterations=0,
                             primal_residual=0.0, dual_residual=0.0, status=CONVERGED,
                             penalty=_PENALTY, rebalances=0)
 
-    At = A.conj().T
-    lam, V = np.linalg.eigh(A @ At)     # A A* = V diag(lam) V*, lam ascending
-    Vt = V.conj().T
-    Vty = Vt @ y
-    low = lam <= lam[-1] * max(m, N) * np.finfo(float).eps
-    best_feasible = _norm(Vty[low])     # distance of y from range(A)
-    if best_feasible > radius + cfg.primal_tolerance * (1.0 + y_norm):
-        keep = ~low
-        xls = At @ (V[:, keep] @ (Vty[keep] / lam[keep]))   # minimum-norm least squares
-        return SolverResult(x=xls, iterations=0, primal_residual=best_feasible,
-                            dual_residual=float("inf"), status=INFEASIBLE,
-                            penalty=_PENALTY, rebalances=0)
+    slack = radius + cfg.primal_tolerance * (1.0 + y_norm)
+    ball = _DataBall(A, y, radius)
+    if ball.distance > slack:
+        # confirm on an SVD basis, cut on sigma as lstsq does
+        ball = _DataBall(A, y, radius, exact_rank=True)
+        if ball.distance > slack:
+            return SolverResult(x=ball.project(np.zeros(N, dtype=complex)), iterations=0,
+                                primal_residual=ball.distance, dual_residual=float("inf"),
+                                status=INFEASIBLE, penalty=_PENALTY, rebalances=0)
 
-    CinvA = V @ ((Vt @ A) / (1.0 + lam)[:, None])   # (I + A A*)^{-1} A
-    Aty = At @ y
-
-    rho = _PENALTY
-    rebalances = 0
-    alpha = _OVER_RELAXATION
+    rho, rebalances, alpha = _PENALTY, 0, _OVER_RELAXATION
     # absolute parts of the stopping tolerances; the relative parts scale
     # with the current iterates
-    abs_pri = math.sqrt(N + m) * cfg.primal_tolerance
-    abs_dua = math.sqrt(N + m) * cfg.dual_tolerance
+    abs_pri = math.sqrt(N) * cfg.primal_tolerance
+    abs_dua = math.sqrt(N) * cfg.dual_tolerance
     z = np.zeros(N, dtype=complex)
-    w = np.zeros(m, dtype=complex)
-    u1 = np.zeros(N, dtype=complex)
-    u2 = np.zeros(m, dtype=complex)
-    Atw = np.zeros(N, dtype=complex)    # A* w
-    Atu2 = np.zeros(N, dtype=complex)   # A* u2
-    r_norm = s_norm = float("inf")
+    u = np.zeros(N, dtype=complex)
     for it in range(1, cfg.max_iterations + 1):
-        rhs = (z - u1) + (Aty + Atw - Atu2)
-        Ax = CinvA @ rhs
-        x = rhs - At @ Ax
+        x = ball.project(z - u)
         x_hat = alpha * x + (1.0 - alpha) * z
-        Ax_y = Ax - y
-        z_old, Atw_old = z, Atw
-        z = soft_threshold(x_hat + u1, 1.0 / rho)
-        # v = A x_hat - y + u2; w is its projection onto the ball and u2 = v - w,
-        # so A* w and A* u2 are multiples of A* v
-        v = alpha * Ax_y + (1.0 - alpha) * w + u2
-        v_norm = _norm(v)
-        shrink = radius / v_norm if v_norm > radius else 1.0
-        w = shrink * v
-        u2 = v - w
-        Atv = At @ v
-        Atw = shrink * Atv
-        Atu2 = Atv - Atw
-        u1 += x_hat
-        u1 -= z
-        r_norm = math.hypot(_norm(x - z), _norm(Ax_y - w))
-        eps_pri = abs_pri + cfg.primal_tolerance * max(
-            _norm(x), _norm(z), _norm(Ax_y), min(v_norm, radius))
-        primal_ok = r_norm < eps_pri
+        z_old = z
+        z = soft_threshold(x_hat + u, 1.0 / rho)
+        u += x_hat
+        u -= z
+        r_norm = _norm(x - z)
+        primal_ok = r_norm < abs_pri + cfg.primal_tolerance * max(_norm(x), _norm(z))
         rebalance = it % 10 == 0
         if not (primal_ok or rebalance or it == cfg.max_iterations):
             continue    # the dual residual would not be read
-        s_norm = rho * math.hypot(_norm(z - z_old), _norm(Atw - Atw_old))
-        if primal_ok:
-            eps_dua = abs_dua + cfg.dual_tolerance * (rho * math.hypot(_norm(u1), _norm(Atu2)))
-            if s_norm < eps_dua:
-                return SolverResult(x=z, iterations=it, primal_residual=r_norm,
-                                    dual_residual=s_norm, status=CONVERGED, penalty=rho,
-                                    rebalances=rebalances)
+        s_norm = rho * _norm(z - z_old)
+        if primal_ok and s_norm < abs_dua + cfg.dual_tolerance * rho * _norm(u):
+            return SolverResult(x=z, iterations=it, primal_residual=r_norm,
+                                dual_residual=s_norm, status=CONVERGED, penalty=rho,
+                                rebalances=rebalances)
         # rebalance only every few iterations: per-iteration rescaling of the
-        # scaled duals can lock the iteration into a limit cycle
-        if rebalance:
-            if r_norm > 10.0 * s_norm:
-                rho *= 2.0
-                u1 /= 2.0
-                u2 /= 2.0
-                Atu2 /= 2.0
-                rebalances += 1
-            elif s_norm > 10.0 * r_norm:
-                rho /= 2.0
-                u1 *= 2.0
-                u2 *= 2.0
-                Atu2 *= 2.0
-                rebalances += 1
+        # scaled dual can lock the iteration into a limit cycle
+        if rebalance and max(r_norm, s_norm) > 10.0 * min(r_norm, s_norm):
+            scale = 2.0 if r_norm > s_norm else 0.5
+            rho *= scale
+            u /= scale
+            rebalances += 1
     return SolverResult(x=z, iterations=cfg.max_iterations, primal_residual=r_norm,
                         dual_residual=s_norm, status=MAX_ITER, penalty=rho,
                         rebalances=rebalances)

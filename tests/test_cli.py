@@ -168,6 +168,20 @@ def test_nearfield_sim_rejects_bad_probe_weight_key(key, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nearfield_sim_ill_conditioned_consistent_system_is_solved(tmp_path):
+    # the weight 1e6 on (1, 2) gives a preconditioned 60 x 30 system with
+    # sigma_min / sigma_max = 7.9e-8; y = A x is consistent at epsilon 0
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"1,-1": [1, 0], "1,1": [1, 0], "2,-1": [0, -1],
+                                   "2,1": [0, 1], "1,2": [1e6, 0]}))
+    out = tmp_path / "nf"
+    assert cli.run(["nearfield-sim", "--B", "3", "--s", "4", "--m", "60", "--seed", "0",
+                    "--probe-weights", str(weights), "--output-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver_status"] == "Converged"
+    assert report["rel_error_l1"] < 1e-6
+
+
 def test_nearfield_sim_builds_two_dictionaries(tmp_path, monkeypatch):
     # one m-row dictionary for y, l1 and LS; one cut dictionary for all three cuts
     calls = []

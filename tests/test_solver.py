@@ -122,7 +122,7 @@ def test_bpdn_planted_one_sparse():
 
 
 def test_bpdn_active_ball_with_bounded_noise():
-    # 0 < radius < ||y||: the ball projection of w is active at the optimum
+    # 0 < radius < ||y||: the data-ball constraint is active at the optimum
     rng = np.random.default_rng(8)
     A, x, y0 = _planted(rng, 20, 50, 3)
     radius = 0.05 * np.linalg.norm(y0)
@@ -181,49 +181,124 @@ def test_ill_conditioned_full_rank_is_feasible():
     assert res.status == MAX_ITER and res.iterations == 1
 
 
+def test_consistent_condition_1e7_is_not_infeasible():
+    # sigma_min / sigma_max = 1e-7, so lam_min / lam_max = 1e-14 falls under
+    # the eigenvalue rank cut 60 * eps = 1.3e-14; y is in the range all the same
+    rng = np.random.default_rng(14)
+    m, N = 60, 30
+    U, _ = np.linalg.qr(rng.standard_normal((m, N)) + 1j * rng.standard_normal((m, N)))
+    W, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+    A = U @ np.diag(np.logspace(0, -7, N)) @ W.conj().T
+    assert np.linalg.cond(A) == pytest.approx(1e7, rel=1e-6)
+    x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    y = A @ x
+    res = bpdn_ball(A, y, 0.0)
+    assert res.status == CONVERGED
+    assert np.linalg.norm(A @ res.x - y) < 1e-8 * np.linalg.norm(y)
+    assert np.linalg.norm(res.x - x) < 1e-6 * np.linalg.norm(x)
+
+
+def _projection_cases():
+    """(A, y, distance of y from range(A)): a wide complex matrix, and the
+    rank-4 matrix of `_repeated_rows` with y off its range by 1e-3."""
+    rng = np.random.default_rng(21)
+    wide = rng.standard_normal((8, 20)) + 1j * rng.standard_normal((8, 20))
+    yield wide, rng.standard_normal(8) + 1j * rng.standard_normal(8), 0.0
+    deficient = _repeated_rows(rng)
+    w = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    e = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    e -= deficient @ (np.linalg.pinv(deficient) @ e)
+    yield deficient, deficient @ w + 1e-3 * e / np.linalg.norm(e), 1e-3
+
+
+@pytest.mark.parametrize("A, y, distance", list(_projection_cases()),
+                         ids=["wide", "rank-deficient"])
+def test_ball_projection_properties(A, y, distance):
+    N = A.shape[1]
+    rng = np.random.default_rng(22)
+    # radius 0: the pseudo-inverse solve, exact on the range of A
+    exact = solver._DataBall(A, y, 0.0)
+    assert exact.distance == pytest.approx(distance, rel=1e-9, abs=1e-12)
+    for _ in range(5):
+        q = 3.0 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
+        x = exact.project(q)
+        assert abs(np.linalg.norm(A @ x - y) - distance) <= 1e-10 * np.linalg.norm(y)
+    radius = 0.1 * np.linalg.norm(y)
+    ball = solver._DataBall(A, y, radius)
+    null = np.eye(N) - np.linalg.pinv(A) @ A
+    for _ in range(5):
+        q = 3.0 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
+        assert np.linalg.norm(A @ q - y) > radius
+        x = ball.project(q)
+        assert np.linalg.norm(A @ x - y) == pytest.approx(radius, rel=1e-10)
+        # the step q - x lies in range(A*): nothing of it in the null space
+        assert np.linalg.norm(null @ (q - x)) <= 1e-10 * np.linalg.norm(q - x)
+        np.testing.assert_allclose(ball.project(x), x, rtol=0, atol=1e-10 * np.linalg.norm(x))
+    # a point inside the ball is its own projection
+    inside = np.linalg.pinv(A) @ y
+    assert np.linalg.norm(A @ inside - y) < radius
+    np.testing.assert_array_equal(ball.project(inside), inside)
+
+
+def test_ball_projection_matches_bisection_on_mu():
+    # the eigenvalues of A A* span 1e10; the reference solves the same
+    # secular equation on the same eigensystem by bisection on mu
+    rng = np.random.default_rng(23)
+    m, N = 12, 24
+    U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    W, _ = np.linalg.qr(rng.standard_normal((N, m)) + 1j * rng.standard_normal((N, m)))
+    A = U @ np.diag(np.logspace(0, -5, m)) @ W.conj().T
+    y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    for fraction in (0.9, 0.3, 0.01):
+        q = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        ball = solver._DataBall(A, y, 1.0)
+        assert ball.lam.max() / ball.lam.min() == pytest.approx(1e10, rel=1e-3)
+        c = ball.W @ q - ball.Vty
+        radius = fraction * np.linalg.norm(c)
+        ball = solver._DataBall(A, y, radius)
+
+        def misfit(mu):
+            return np.linalg.norm(c / (1.0 + mu * ball.lam))
+
+        lo, hi = 0.0, 1.0
+        while misfit(hi) > radius:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if misfit(mid) > radius else (lo, mid)
+        mu = 0.5 * (lo + hi)
+        x_ref = q - ball.Wt @ (c * (mu / (1.0 + mu * ball.lam)))
+        x = ball.project(q)
+        assert ball.mu == pytest.approx(mu, rel=1e-9)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-9 * np.linalg.norm(x_ref))
+
+
 def _reference_bpdn(A, y, radius, cfg):
     """The loop of `bpdn_ball` with every residual and tolerance evaluated at
     every iteration; returns x, iterations, status and the last residuals."""
-    m, N = A.shape
-    At = A.conj().T
-    lam, V = np.linalg.eigh(A @ At)
-    CinvA = V @ ((V.conj().T @ A) / (1.0 + lam)[:, None])
-    Aty = At @ y
+    N = A.shape[1]
+    project = solver._DataBall(A, y, radius).project
     rho, alpha = solver._PENALTY, solver._OVER_RELAXATION
-    abs_pri = math.sqrt(N + m) * cfg.primal_tolerance
-    abs_dua = math.sqrt(N + m) * cfg.dual_tolerance
-    z, u1, Atw, Atu2 = (np.zeros(N, dtype=complex) for _ in range(4))
-    w, u2 = np.zeros(m, dtype=complex), np.zeros(m, dtype=complex)
+    abs_pri = math.sqrt(N) * cfg.primal_tolerance
+    abs_dua = math.sqrt(N) * cfg.dual_tolerance
+    z, u = np.zeros(N, dtype=complex), np.zeros(N, dtype=complex)
     for it in range(1, cfg.max_iterations + 1):
-        rhs = (z - u1) + (Aty + Atw - Atu2)
-        Ax = CinvA @ rhs
-        x = rhs - At @ Ax
+        x = project(z - u)
         x_hat = alpha * x + (1.0 - alpha) * z
-        Ax_y = Ax - y
-        z_old, Atw_old = z, Atw
-        z = soft_threshold(x_hat + u1, 1.0 / rho)
-        v = alpha * Ax_y + (1.0 - alpha) * w + u2
-        v_norm = _norm(v)
-        shrink = radius / v_norm if v_norm > radius else 1.0
-        w = shrink * v
-        u2 = v - w
-        Atv = At @ v
-        Atw = shrink * Atv
-        Atu2 = Atv - Atw
-        u1 += x_hat
-        u1 -= z
-        r_norm = math.hypot(_norm(x - z), _norm(Ax_y - w))
-        s_norm = rho * math.hypot(_norm(z - z_old), _norm(Atw - Atw_old))
-        eps_pri = abs_pri + cfg.primal_tolerance * max(
-            _norm(x), _norm(z), _norm(Ax_y), min(v_norm, radius))
-        eps_dua = abs_dua + cfg.dual_tolerance * (rho * math.hypot(_norm(u1), _norm(Atu2)))
+        z_old = z
+        z = soft_threshold(x_hat + u, 1.0 / rho)
+        u = u + x_hat - z
+        r_norm = _norm(x - z)
+        s_norm = rho * _norm(z - z_old)
+        eps_pri = abs_pri + cfg.primal_tolerance * max(_norm(x), _norm(z))
+        eps_dua = abs_dua + cfg.dual_tolerance * rho * _norm(u)
         if r_norm < eps_pri and s_norm < eps_dua:
             return z, it, CONVERGED, r_norm, s_norm
         if it % 10 == 0:
             if r_norm > 10.0 * s_norm:
-                rho, u1, u2, Atu2 = 2.0 * rho, u1 / 2.0, u2 / 2.0, Atu2 / 2.0
+                rho, u = 2.0 * rho, u / 2.0
             elif s_norm > 10.0 * r_norm:
-                rho, u1, u2, Atu2 = rho / 2.0, u1 * 2.0, u2 * 2.0, Atu2 * 2.0
+                rho, u = rho / 2.0, u * 2.0
     return z, cfg.max_iterations, MAX_ITER, r_norm, s_norm
 
 
