@@ -202,21 +202,21 @@ def _degree_sups(l_max: int, coarse: int) -> np.ndarray:
     """Per degree l <= l_max, the sup over (k, n) and theta of
     (sin theta)^{1/2} |d_l^{k,n}|.
 
-    |d_l^{k,n}| depends on (k, n) only through (|k - n|, |k + n|); the lane
-    k >= |n| stands for each such class. Every class is maximized on a coarse
-    theta grid, then twice on 65 points spanning the neighbours of its best
-    point. The coarse grid goes through the recurrence _SLICE points at a
-    time.
+    |d_l^{k,n}| depends on (k, n) only through the class (|k - n|, |k + n|),
+    which the lanes k >= |n| cover. The mirror (k, -n) swaps |k - n| and
+    |k + n| and sends theta to pi - theta, where (sin theta)^{1/2} is the
+    same, so the lanes 0 <= n <= k carry every sup. Each is maximized on a
+    coarse theta grid, _SLICE points at a time, then twice on 65 points
+    spanning the neighbours of its best point.
     """
     if coarse < 3:
         raise ValueError(f"coarse grid needs >= 3 points, got {coarse}")
     degrees = np.arange(l_max + 1)
-    k = np.repeat(degrees, 2 * degrees + 1)
-    n = np.concatenate([np.arange(-j, j + 1) for j in degrees])
+    k, n = np.tril_indices(l_max + 1)   # n = 0..k per k, sorted by l0 = k
     grid = np.linspace(0.0, math.pi, coarse)
     weight = np.sqrt(np.sin(grid))
-    best = [np.zeros((l + 1) ** 2, dtype=int) for l in degrees]
-    peak = [np.full((l + 1) ** 2, -1.0) for l in degrees]
+    best = [np.zeros((l + 1) * (l + 2) // 2, dtype=int) for l in degrees]
+    peak = [np.full((l + 1) * (l + 2) // 2, -1.0) for l in degrees]
     for s in range(0, coarse, _SLICE):
         for l, d in _wigner_d_lanes(k, n, grid[s:s + _SLICE], l_max):
             f = np.abs(d)
@@ -228,7 +228,7 @@ def _degree_sups(l_max: int, coarse: int) -> np.ndarray:
             peak[l][up] = v[up]
     sups = np.empty(l_max + 1)
     for l in degrees:
-        lanes = np.arange((l + 1) ** 2)
+        lanes = np.arange((l + 1) * (l + 2) // 2)
         g, i, sup = np.broadcast_to(grid, (len(lanes), coarse)), best[l], peak[l]
         for _ in range(2):
             g = np.linspace(g[lanes, np.maximum(i - 1, 0)],

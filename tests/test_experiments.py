@@ -1,5 +1,9 @@
+import ctypes
+import glob
 import itertools
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from so3sparse.experiments import (
     sigma_s,
 )
 from so3sparse.solver import CONVERGED, MAX_ITER, SolverResult
-from so3sparse.wigner import basis_count
+from so3sparse.wigner import basis_count, wigner_d
 
 
 def test_gen_sparse_dense_when_s_equals_N():
@@ -153,6 +157,18 @@ def test_weighted_sup_profile_frozen_values():
     np.testing.assert_allclose(prof, expected, rtol=1e-12, atol=0)
 
 
+def test_degree_sups_cover_every_order_pair():
+    # brute force over all (2l+1)^2 order pairs on the same coarse grid; the
+    # scan's refinement may only add to it
+    theta = np.linspace(0.0, math.pi, 1024)
+    weight = np.sqrt(np.sin(theta))
+    sups = experiments._degree_sups(8, 1024)
+    for l in range(9):
+        brute = max((weight * np.abs(wigner_d(l, k, n, theta))).max()
+                    for k, n in itertools.product(range(-l, l + 1), repeat=2))
+        assert 0 <= sups[l] - brute <= 1e-5 * brute, l
+
+
 @pytest.mark.parametrize("B_list, coarse", [
     ([], 64), ([0, 4], 64), ([4, 4], 64), ([2, 4], 2), ([2, 4], 1),
 ])
@@ -187,3 +203,27 @@ def test_tan13_trial_runs():
                       measure=sampling.TAN13)
     ok, err = run_trial(cfg, 0)
     assert ok
+
+
+def _blas_threads():
+    """Threads of numpy's bundled OpenBLAS in this process; None without one."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:   # present but not loaded: not the BLAS numpy runs
+            continue
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            get = lib.scipy_openblas_get_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get()
+    return None
+
+
+def test_pool_workers_run_one_blas_thread():
+    if _blas_threads() is None:
+        pytest.skip("numpy has no bundled OpenBLAS to pin")
+    # the same pool phase_transition starts
+    with ProcessPoolExecutor(max_workers=2, initializer=experiments._one_blas_thread) as pool:
+        futures = [pool.submit(_blas_threads) for _ in range(2)]
+        assert [f.result(timeout=60) for f in futures] == [1, 1]

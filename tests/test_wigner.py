@@ -218,6 +218,17 @@ def test_recurrence_matches_jacobi(l, data):
     np.testing.assert_allclose(d[1], wigner_d(l, n, k, grids[1]), rtol=0, atol=1e-12)
 
 
+@given(l=st.integers(0, 60), data=st.data())
+def test_mirror_lane_reflects_theta(l, data):
+    # |d_l^{k,-n}(theta)| = |d_l^{k,n}(pi - theta)|: the sup scan runs only n >= 0
+    k = data.draw(st.integers(-l, l), label="k")
+    n = data.draw(st.integers(-l, l), label="n")
+    theta = np.array(data.draw(
+        st.lists(st.floats(0.0, math.pi), min_size=1, max_size=5), label="theta"))
+    *_, (_, d) = _wigner_d_lanes([k, k], [n, -n], np.stack([math.pi - theta, theta]), l)
+    np.testing.assert_allclose(np.abs(d[0]), np.abs(d[1]), rtol=0, atol=1e-12)
+
+
 @given(l=st.integers(0, 60), theta=st.floats(0.0, math.pi))
 def test_d_matrix_is_orthogonal(l, theta):
     # sum_n d_l^{k,n} d_l^{k',n} = delta_{k,k'}, every lane on one shared grid
