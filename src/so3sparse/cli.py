@@ -211,6 +211,8 @@ def _cmd_nearfield_sim(ns) -> int:
             for i, t in enumerate(theta_grid)))
 
     nrm = np.linalg.norm(x_true)
+    system = sensing.precondition(samples, A, y, ns.epsilon)   # the l1 solve's ball
+    misfit = np.linalg.norm(system.A @ x_l1 - system.y)
     _write(ns, "report.json", json.dumps({
         "B": ns.B, "s": ns.s, "m": ns.m, "epsilon": ns.epsilon,
         "measure": ns.measure,
@@ -220,6 +222,9 @@ def _cmd_nearfield_sim(ns) -> int:
         "rel_error_ls": float(np.linalg.norm(x_ls - x_true) / nrm),
         "solver_status": result.status,
         "solver_iterations": result.iterations,
+        "solver_penalty": result.penalty,
+        "solver_rebalances": result.rebalances,
+        "l1_misfit_over_radius": float(misfit / system.radius) if system.radius else None,
         "pattern_defined": {tag: bool(cuts[tag][1]) for tag in cuts},
     }, indent=2, sort_keys=True))
     return ns.seed

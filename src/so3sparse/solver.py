@@ -13,7 +13,8 @@ eigenvalues, the projection of q is q - W* diag(g) c: g = 1/lam at radius
 0 (the pseudo-inverse), q itself when ||c|| <= radius, and otherwise
 g = mu/(1 + mu lam) with mu the root of sum |c_i|^2/(1 + mu lam_i)^2 =
 radius^2, found by Newton steps on 1/||.|| - 1/radius from the previous
-root (More & Sorensen 1983). V* y below the cut is the distance of y from
+root (More & Sorensen 1983). W is the one cached m x N matrix; W* c is
+formed as conj(conj(c) W). V* y below the cut is the distance of y from
 range(A): a constant in that sum, and the test for `Infeasible`. The cut
 on lam = sigma^2 drops directions that numpy's `lstsq` keeps with its cut
 on sigma, so an `Infeasible` distance is confirmed on an SVD basis of A,
@@ -99,11 +100,15 @@ def soft_threshold(z, tau: float):
     """Proximal map of tau * |.| for complex z: shrink the modulus by tau."""
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    z = np.asarray(z, dtype=complex)
-    # 1 - tau/max(|z|, tau) is 1 - tau/|z| above the threshold and exactly
-    # 0 at or below it; with tau = 0 the floor 1 keeps 0/0 out
-    out = z * (1.0 - tau / np.maximum(np.abs(z), tau if tau > 0 else 1.0))
+    out = _shrink(np.asarray(z, dtype=complex), tau)
     return out if out.ndim else complex(out)
+
+
+def _shrink(z: np.ndarray, tau: float) -> np.ndarray:
+    """`soft_threshold` without its checks, for the ADMM loop: 1 - tau/max(|z|, tau)
+    is 1 - tau/|z| above the threshold and exactly 0 at or below it; with
+    tau = 0 the floor 1 keeps 0/0 out."""
+    return z * (1.0 - tau / np.maximum(np.abs(z), tau if tau > 0 else 1.0))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -133,7 +138,6 @@ class _DataBall:
         Vty = V.conj().T @ y
         self.distance = _norm(Vty[~keep])
         self.W = V[:, keep].conj().T @ A
-        self.Wt = self.W.conj().T
         self.Vty = Vty[keep]
         self.lam = lam[keep]
         # radius^2 minus the constant part of the misfit below the cut
@@ -144,24 +148,26 @@ class _DataBall:
         c = self.W @ q - self.Vty
         t = self.target
         if t == 0.0:
-            return q - self.Wt @ (c / self.lam)
-        a = (c * c.conj()).real
-        if math.sqrt(a.sum()) <= t:
-            return q
-        # Newton on 1/psi(mu) - 1/t, psi(mu)^2 = sum a/(1 + mu lam)^2, which is
-        # concave and increasing: one step lands left of the root, and from
-        # there the steps rise to it
-        lam, mu = self.lam, self.mu
-        for _ in range(_SECULAR_STEPS):
-            s = 1.0 / (1.0 + mu * lam)
-            a_s2 = a * s * s
-            psi2 = a_s2.sum()
-            psi = math.sqrt(psi2)
-            mu = max(mu + (psi - t) * psi2 / (t * np.dot(a_s2 * s, lam)), 0.0)
-            if abs(psi - t) <= _SECULAR_TOLERANCE * t:
-                break
-        self.mu = mu
-        return q - self.Wt @ (c * (mu / (1.0 + mu * lam)))
+            c /= self.lam
+        else:
+            a = c.real ** 2 + c.imag ** 2
+            if math.sqrt(a.sum()) <= t:
+                return q
+            # Newton on 1/psi(mu) - 1/t, psi(mu)^2 = sum a/(1 + mu lam)^2, which
+            # is concave and increasing: one step lands left of the root, and
+            # from there the steps rise to it
+            lam, mu = self.lam, self.mu
+            for _ in range(_SECULAR_STEPS):
+                s = 1.0 / (1.0 + mu * lam)
+                a_s2 = a * s * s
+                psi2 = a_s2.sum()
+                psi = math.sqrt(psi2)
+                mu = max(mu + (psi - t) * psi2 / (t * np.dot(a_s2 * s, lam)), 0.0)
+                if abs(psi - t) <= _SECULAR_TOLERANCE * t:
+                    break
+            self.mu = mu
+            c *= mu / (1.0 + mu * lam)
+        return q - (c.conj() @ self.W).conj()
 
 
 def bpdn_ball(
@@ -199,11 +205,11 @@ def bpdn_ball(
     u = np.zeros(N, dtype=complex)
     for it in range(1, cfg.max_iterations + 1):
         x = ball.project(z - u)
-        x_hat = alpha * x + (1.0 - alpha) * z
+        v = alpha * x + (1.0 - alpha) * z    # x_hat, then x_hat + u in place
+        v += u
         z_old = z
-        z = soft_threshold(x_hat + u, 1.0 / rho)
-        u += x_hat
-        u -= z
+        z = _shrink(v, 1.0 / rho)
+        u = v - z
         r_norm = _norm(x - z)
         primal_ok = r_norm < abs_pri + cfg.primal_tolerance * max(_norm(x), _norm(z))
         rebalance = it % 10 == 0

@@ -171,7 +171,6 @@ def spherical_harmonic(l: int, k: int, theta, phi):
 
 
 _SLICE = 512  # points per run of _wigner_d_lanes: keeps its working arrays small
-_WIGNER_ENTRIES_PER_PASS = 1 << 16  # Wigner-D entries a row-blocked caller holds at once (1 MB)
 
 
 def _wigner_d_lanes(k, n, theta, l_max: int):
@@ -233,6 +232,16 @@ def _wigner_d_lanes(k, n, theta, l_max: int):
         yield l, cur[:hi]
 
 
+def _order_lanes(k_orders, n_orders):
+    """Lanes (k, n) of the grid k_orders x n_orders sorted by l0 = max(|k|, |n|)
+    for `_wigner_d_lanes`, and slot[i, j], the lane of (k_orders[i], n_orders[j])."""
+    kk, nn = np.meshgrid(k_orders, n_orders, indexing="ij")
+    lane_pos = np.argsort(np.maximum(np.abs(kk), np.abs(nn)), axis=None, kind="stable")
+    slot = np.empty_like(lane_pos)
+    slot[lane_pos] = np.arange(lane_pos.size)
+    return kk.ravel()[lane_pos], nn.ravel()[lane_pos], slot.reshape(kk.shape)
+
+
 def evaluate_basis(B: int, theta, phi, chi) -> np.ndarray:
     """Dense (npoints, N) matrix of all Wigner-D functions of degree l < B.
 
@@ -253,14 +262,7 @@ def evaluate_basis(B: int, theta, phi, chi) -> np.ndarray:
     out = np.empty((npts, basis_count(B)), dtype=complex)
     L = B - 1
     orders = np.arange(-L, L + 1)
-    kk, nn = np.meshgrid(orders, orders, indexing="ij")
-    # lane i holds the order pair at flat (k, n) position lane_pos[i]; slot
-    # maps (k + L, n + L) back to its lane
-    lane_pos = np.argsort(np.maximum(np.abs(kk), np.abs(nn)), axis=None, kind="stable")
-    slot = np.empty_like(lane_pos)
-    slot[lane_pos] = np.arange(lane_pos.size)
-    slot = slot.reshape(kk.shape)
-    k, n = kk.ravel()[lane_pos], nn.ravel()[lane_pos]
+    k, n, slot = _order_lanes(orders, orders)
     for start in range(0, npts, _SLICE):
         rows = slice(start, start + _SLICE)
         ephi = np.exp(-1j * np.outer(phi[rows], orders))

@@ -156,6 +156,27 @@ def test_nearfield_sim_outputs_and_rerun(tmp_path):
         assert _read(out / name) == _read(out2 / name)
 
 
+def test_nearfield_sim_reports_solver_state(tmp_path):
+    # a noisy run reports the final penalty, the rebalance count and the
+    # misfit of the returned l1 solution relative to the data-ball radius
+    out = tmp_path / "nf"
+    assert cli.run(["nearfield-sim", "--B", "3", "--s", "3", "--m", "40", "--seed", "7",
+                    "--epsilon", "1e-3", "--output-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver_penalty"] > 0
+    assert isinstance(report["solver_rebalances"], int) and report["solver_rebalances"] >= 0
+    assert report["l1_misfit_over_radius"] == pytest.approx(1.0, abs=1e-3)
+    out2 = tmp_path / "nf2"
+    assert cli.run(["rerun", str(out / "manifest.json"), "--output-dir", str(out2)]) == 0
+    assert _read(out / "report.json") == _read(out2 / "report.json")
+
+    # at epsilon 0 the ball is a point and the ratio is undefined
+    assert cli.run(["nearfield-sim", "--B", "2", "--s", "3", "--m", "40",
+                    "--output-dir", str(tmp_path / "nf0")]) == 0
+    report = json.loads((tmp_path / "nf0" / "report.json").read_text())
+    assert report["l1_misfit_over_radius"] is None
+
+
 @pytest.mark.parametrize("key", ["3", "3,1", "1,0"])
 def test_nearfield_sim_rejects_bad_probe_weight_key(key, tmp_path, capsys):
     weights = tmp_path / "w.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so3sparse import sampling
 from so3sparse.experiments import COMPLEX_GAUSSIAN, gen_sparse
@@ -20,7 +22,7 @@ from so3sparse.nearfield import (
 )
 from so3sparse.sensing import build_matrix
 from so3sparse.solver import SolverConfig
-from so3sparse.wigner import _WIGNER_ENTRIES_PER_PASS, WignerIndex, basis_count, wigner_D
+from so3sparse.wigner import _SLICE, WignerIndex, wigner_D
 
 TIGHT = SolverConfig(primal_tolerance=1e-9, dual_tolerance=1e-9)
 WEIGHTS = default_probe_weights()
@@ -144,11 +146,10 @@ def test_probe_weight_keys_are_validated(key):
 
 
 def test_dictionary_row_blocks_match_one_pass():
-    # B=12 fills a 2^16-entry pass with 22 rows of its 2925 Wigner-D
-    # columns, so 50 probes take three passes, the last one short
+    # the dictionary runs _SLICE points at a time, so 2 _SLICE + 50 probes
+    # take three slices, the last one short
     rng = np.random.default_rng(11)
-    B, m = 12, 50
-    assert 2 * (_WIGNER_ENTRIES_PER_PASS // basis_count(B + 1)) < m
+    B, m = 12, 2 * _SLICE + 50
     sched = make_schedule(rng, m)
     full = build_matrix(sched, B + 1)
     ref = np.zeros((m, coefficient_count(B)), dtype=complex)
@@ -159,6 +160,39 @@ def test_dictionary_row_blocks_match_one_pass():
                     ref[:, coefficient_index(h, l, k, B)] += (
                         WEIGHTS[(h, n)] * full[:, WignerIndex(l, k, n, B + 1).column])
     np.testing.assert_allclose(_dictionary(B, sched), ref, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(B=st.integers(1, 4), data=st.data())
+def test_dictionary_matches_pointwise_wigner_sum(B, data):
+    # random probe-weight keys with |n| up to B + 1, so some orders have no
+    # degree at all; every column is the c_{h,n}-weighted sum of wigner_D
+    orders = [n for n in range(-B - 1, B + 2) if n != 0]
+    keys = data.draw(st.lists(st.tuples(st.sampled_from((1, 2)), st.sampled_from(orders)),
+                              min_size=1, max_size=8, unique=True), label="keys")
+    parts = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * len(keys),
+                               max_size=2 * len(keys)), label="weights")
+    weights = {key: complex(parts[2 * i], parts[2 * i + 1]) for i, key in enumerate(keys)}
+    sched = make_schedule(np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")), 5)
+    A = _dictionary(B, sched, weights)
+    for h in (1, 2):
+        for l in range(1, B + 1):
+            for k in range(-l, l + 1):
+                col = np.zeros(5, dtype=complex)
+                for (hk, n), c in sorted(weights.items()):
+                    if hk == h and abs(n) <= l:
+                        col += c * wigner_D(l, k, n, sched.theta, sched.phi, sched.chi)
+                np.testing.assert_allclose(
+                    A[:, coefficient_index(h, l, k, B)], col, rtol=0, atol=1e-13)
+
+
+def test_dictionary_ignores_weight_insertion_order():
+    sched = make_schedule(np.random.default_rng(14), 30)
+    weights = {(2, 2): -0.6, (1, -1): 1.0, (2, -1): 0.4 + 1j, (1, 2): 2.0, (1, -3): 0.5j,
+               (2, 1): -1.5 + 0.2j, (1, 1): -0.7j}
+    reversed_weights = dict(reversed(list(weights.items())))
+    np.testing.assert_array_equal(_dictionary(4, sched, weights),
+                                  _dictionary(4, sched, reversed_weights))
 
 
 def test_probe_weight_condition_finite():

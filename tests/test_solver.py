@@ -267,7 +267,7 @@ def test_ball_projection_matches_bisection_on_mu():
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if misfit(mid) > radius else (lo, mid)
         mu = 0.5 * (lo + hi)
-        x_ref = q - ball.Wt @ (c * (mu / (1.0 + mu * ball.lam)))
+        x_ref = q - ball.W.conj().T @ (c * (mu / (1.0 + mu * ball.lam)))
         x = ball.project(q)
         assert ball.mu == pytest.approx(mu, rel=1e-9)
         np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-9 * np.linalg.norm(x_ref))
