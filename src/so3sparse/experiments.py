@@ -206,8 +206,15 @@ def _degree_sups(l_max: int, coarse: int) -> np.ndarray:
     which the lanes k >= |n| cover. The mirror (k, -n) swaps |k - n| and
     |k + n| and sends theta to pi - theta, where (sin theta)^{1/2} is the
     same, so the lanes 0 <= n <= k carry every sup. Each is maximized on a
-    coarse theta grid, _SLICE points at a time, then twice on 65 points
-    spanning the neighbours of its best point.
+    coarse theta grid of spacing h, _SLICE points at a time. As d_l^{k,n} is
+    a trig polynomial of degree l, F = sin theta * d^2 has degree 2l + 1 and
+    |F| on (pi, 2 pi) mirrors F on [0, pi]; Bernstein's inequality twice
+    gives |F''| <= (2l+1)^2 max F, and F peaks within h/2 of a grid point, so
+    a lane's coarse peak^2 is at least (1 - (2l+1)^2 h^2 / 8) of its sup^2.
+    Lanes below that factor of their degree's best peak^2 cannot hold the
+    sup; the other (degree, lane) rows of all degrees are refined twice on
+    65 points spanning the neighbours of their best point, one
+    _wigner_d_lanes pass per stage, each row read at its own degree.
     """
     if coarse < 3:
         raise ValueError(f"coarse grid needs >= 3 points, got {coarse}")
@@ -226,18 +233,24 @@ def _degree_sups(l_max: int, coarse: int) -> np.ndarray:
             up = v > peak[l]       # ties keep the earlier point, as argmax does
             best[l][up] = s + i[up]
             peak[l][up] = v[up]
-    sups = np.empty(l_max + 1)
-    for l in degrees:
-        lanes = np.arange((l + 1) * (l + 2) // 2)
-        g, i, sup = np.broadcast_to(grid, (len(lanes), coarse)), best[l], peak[l]
+    sups = np.array([p.max() for p in peak])
+    factor = 1 - ((2 * degrees + 1) * math.pi / (coarse - 1)) ** 2 / 8
+    kept = sorted((k[j], l, j, best[l][j]) for l in degrees   # by l0 = k
+                  for j in np.flatnonzero(peak[l] ** 2 >= sups[l] ** 2 * factor[l]))
+    _, deg, lane, start = np.array(kept).T
+    for c in range(0, len(kept), len(k)):   # arrays no larger than the coarse scan's
+        r = slice(c, c + len(k))
+        at = [np.flatnonzero(deg[r] == l) for l in degrees]
+        rows = np.arange(len(lane[r]))
+        g, i = np.broadcast_to(grid, (len(rows), coarse)), start[r]
         for _ in range(2):
-            g = np.linspace(g[lanes, np.maximum(i - 1, 0)],
-                            g[lanes, np.minimum(i + 1, g.shape[1] - 1)], 65, axis=1)
-            *_, (_, d) = _wigner_d_lanes(k[lanes], n[lanes], g, l)
-            f = np.sqrt(np.sin(g)) * np.abs(d)
+            g = np.linspace(g[rows, np.maximum(i - 1, 0)],
+                            g[rows, np.minimum(i + 1, g.shape[1] - 1)], 65, axis=1)
+            f = np.empty(g.shape)
+            for l, d in _wigner_d_lanes(k[lane[r]], n[lane[r]], g, l_max):
+                f[at[l]] = np.sqrt(np.sin(g[at[l]])) * np.abs(d[at[l]])
             i = f.argmax(axis=1)
-            sup = np.maximum(sup, f[lanes, i])
-        sups[l] = sup.max()
+            np.maximum.at(sups, deg[r], f[rows, i])
     return sups
 
 

@@ -7,6 +7,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from so3sparse import experiments, sampling
 from so3sparse.experiments import (
@@ -22,7 +24,7 @@ from so3sparse.experiments import (
     sigma_s,
 )
 from so3sparse.solver import CONVERGED, MAX_ITER, SolverResult
-from so3sparse.wigner import basis_count, wigner_d
+from so3sparse.wigner import _SLICE, _wigner_d_lanes, basis_count, wigner_d
 
 
 def test_gen_sparse_dense_when_s_equals_N():
@@ -167,6 +169,62 @@ def test_degree_sups_cover_every_order_pair():
         brute = max((weight * np.abs(wigner_d(l, k, n, theta))).max()
                     for k, n in itertools.product(range(-l, l + 1), repeat=2))
         assert 0 <= sups[l] - brute <= 1e-5 * brute, l
+
+
+def _degree_sups_every_lane(l_max, coarse):
+    # the scan before its Bernstein pruning: every lane of every degree is
+    # refined, one degree at a time
+    degrees = np.arange(l_max + 1)
+    k, n = np.tril_indices(l_max + 1)
+    grid = np.linspace(0.0, math.pi, coarse)
+    weight = np.sqrt(np.sin(grid))
+    best = [np.zeros((l + 1) * (l + 2) // 2, dtype=int) for l in degrees]
+    peak = [np.full((l + 1) * (l + 2) // 2, -1.0) for l in degrees]
+    for s in range(0, coarse, _SLICE):
+        for l, d in _wigner_d_lanes(k, n, grid[s:s + _SLICE], l_max):
+            f = np.abs(d)
+            f *= weight[s:s + _SLICE]
+            i = f.argmax(axis=1)
+            v = f[np.arange(len(i)), i]
+            up = v > peak[l]
+            best[l][up] = s + i[up]
+            peak[l][up] = v[up]
+    sups = np.empty(l_max + 1)
+    for l in degrees:
+        lanes = np.arange((l + 1) * (l + 2) // 2)
+        g, i, sup = np.broadcast_to(grid, (len(lanes), coarse)), best[l], peak[l]
+        for _ in range(2):
+            g = np.linspace(g[lanes, np.maximum(i - 1, 0)],
+                            g[lanes, np.minimum(i + 1, g.shape[1] - 1)], 65, axis=1)
+            *_, (_, d) = _wigner_d_lanes(k[lanes], n[lanes], g, l)
+            f = np.sqrt(np.sin(g)) * np.abs(d)
+            i = f.argmax(axis=1)
+            sup = np.maximum(sup, f[lanes, i])
+        sups[l] = sup.max()
+    return sups
+
+
+@pytest.mark.parametrize("l_max, coarse", [(31, 4096), (10, 17), (8, 256), (6, 5), (5, 3)])
+def test_degree_sups_pruning_is_exact(l_max, coarse):
+    # (6, 5) and (5, 3) hold degrees whose Bernstein factor is <= 0, where
+    # every lane is refined
+    np.testing.assert_array_equal(experiments._degree_sups(l_max, coarse),
+                                  _degree_sups_every_lane(l_max, coarse))
+
+
+@given(l=st.integers(0, 40), coarse=st.integers(3, 4096), data=st.data())
+def test_coarse_peak_meets_bernstein_bound(l, coarse, data):
+    # F = sin theta * d^2 peaks on the coarse grid at no less than
+    # (1 - (2l+1)^2 h^2 / 8) of its max on a 16x finer grid
+    k = data.draw(st.integers(-l, l), label="k")
+    n = data.draw(st.integers(-l, l), label="n")
+    peaks = []
+    for points in (coarse, 16 * (coarse - 1) + 1):
+        theta = np.linspace(0.0, math.pi, points)
+        *_, (_, d) = _wigner_d_lanes([k], [n], theta, l)
+        peaks.append((np.sin(theta) * d[0] ** 2).max())
+    h = math.pi / (coarse - 1)
+    assert peaks[0] >= (1 - (2 * l + 1) ** 2 * h * h / 8) * peaks[1]
 
 
 @pytest.mark.parametrize("B_list, coarse", [

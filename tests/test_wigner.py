@@ -229,6 +229,18 @@ def test_mirror_lane_reflects_theta(l, data):
     np.testing.assert_allclose(np.abs(d[0]), np.abs(d[1]), rtol=0, atol=1e-12)
 
 
+@given(l=st.integers(0, 40), data=st.data())
+def test_weighted_square_is_trig_polynomial_of_degree_2l_plus_1(l, data):
+    # the premise of the sup scan's Bernstein pruning: sin theta * d_l^{k,n}^2,
+    # evaluated on the whole circle, has no frequency above 2l + 1
+    k = data.draw(st.integers(-l, l), label="k")
+    n = data.draw(st.integers(-l, l), label="n")
+    theta = 2 * math.pi * np.arange(512) / 512
+    *_, (_, d) = _wigner_d_lanes([k], [n], theta, l)
+    coef = np.abs(np.fft.rfft(np.sin(theta) * d[0] ** 2))
+    assert coef[2 * l + 2:].max() <= 1e-12 * coef.max()
+
+
 @given(l=st.integers(0, 60), theta=st.floats(0.0, math.pi))
 def test_d_matrix_is_orthogonal(l, theta):
     # sum_n d_l^{k,n} d_l^{k',n} = delta_{k,k'}, every lane on one shared grid
