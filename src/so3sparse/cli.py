@@ -148,7 +148,8 @@ def _cmd_recover(ns) -> None:
         raise ConfigError(f"cannot load problem from {ns.problem_dir}: {exc}")
     system = sensing.precondition(problem.samples, problem.A, problem.y,
                                   problem.epsilon)
-    radius = system.radius if ns.radius is None else ns.radius * system.scale * math.sqrt(problem.m)
+    radius = (system.radius if ns.radius is None
+              else ns.radius * system.scale * math.sqrt(len(problem.y)))
     cfg = solver.SolverConfig(max_iterations=ns.max_iter,
                               primal_tolerance=ns.tol, dual_tolerance=ns.tol)
     result = solver.bpdn_ball(system.A, system.y, radius, cfg)
@@ -188,7 +189,7 @@ def _cmd_nearfield_sim(ns) -> int:
     samples = nearfield.make_schedule(rng, ns.m, measure=ns.measure)
     x_true = experiments.gen_sparse(ncoef, ns.s, experiments.COMPLEX_GAUSSIAN, rng)
     A = nearfield.build_dictionary(ns.B, weights, samples)
-    y = nearfield.transmission_forward(A, x_true)
+    y = A @ x_true
     if ns.epsilon > 0:
         y = sensing.add_noise(y, ns.epsilon, rng)
     x_l1, result = nearfield.recover_transmission(A, samples, y, epsilon=ns.epsilon)

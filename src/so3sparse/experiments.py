@@ -31,7 +31,6 @@ __all__ = [
     "TrialConfig",
     "PhaseTransitionGrid",
     "gen_sparse",
-    "sigma_s",
     "run_trial",
     "phase_transition",
     "contour_half_success",
@@ -90,19 +89,6 @@ def gen_sparse(
     else:
         raise ValueError(f"unknown nonzero model {model!r}")
     return g
-
-
-def sigma_s(g: np.ndarray, s: int, p: int) -> float:
-    """lp norm of g minus its s largest-modulus entries; ties keep the
-    lower column index."""
-    g = np.asarray(g)
-    if not 1 <= s <= len(g):
-        raise ValueError(f"sparsity {s} outside [1, {len(g)}]")
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
-    order = np.lexsort((np.arange(len(g)), -np.abs(g)))
-    tail = g[order[s:]]
-    return float(np.linalg.norm(tail, ord=p))
 
 
 def run_trial(cfg: TrialConfig, trial_index: int) -> tuple[bool, float]:

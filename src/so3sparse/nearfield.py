@@ -10,7 +10,8 @@ identical dictionary columns, so the defaults weight them differently
 (c_{1,+-1} = 1, c_{2,n} = n j) and their 2x2 matrix over n is reported
 alongside every result. The m x 2B(B+2) dictionary of one sample set is
 built once from the probe-order lanes (k, n) of the degree recurrence
-alone, and passed to the forward model and both recoveries.
+alone; it maps coefficients x to the samples A @ x and is passed to both
+recoveries.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "weight_condition",
     "make_schedule",
     "build_dictionary",
-    "transmission_forward",
     "recover_transmission",
     "baseline_least_squares",
     "pattern_cut",
@@ -111,11 +111,6 @@ def build_dictionary(B: int, probe_weights: dict, samples: Samples) -> np.ndarra
     return A
 
 
-def transmission_forward(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Near-field samples of coefficient vector x under dictionary A."""
-    return A @ x
-
-
 def recover_transmission(
     A: np.ndarray,
     samples: Samples,
@@ -159,7 +154,7 @@ def pattern_cut(
     A = build_dictionary(B, probe_weights, cut)
     out = []
     for x in coefficients:
-        mag = np.abs(transmission_forward(A, x))
+        mag = np.abs(A @ x)
         peak = mag.max()
         if peak == 0.0:
             out.append((np.full_like(mag, np.nan), False))

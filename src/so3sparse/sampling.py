@@ -131,19 +131,15 @@ def preconditioner_weight(measure, theta):
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def theta_density(measure, theta, normalized: bool = True):
-    """theta-marginal density of the sampling measure.
-
-    Unnormalized: 1 for product, |tan theta|^{1/3} for tan13. With
-    normalized=True the density integrates to 1 over [0, pi].
-    """
+def theta_density(measure, theta):
+    """Unnormalized theta-marginal density of the sampling measure: 1 for
+    product, |tan theta|^{1/3} for tan13. Its integral over [0, pi] is pi
+    and TAN13_THETA_MASS respectively."""
     theta = np.asarray(theta, dtype=float)
     if measure == PRODUCT:
-        dens = np.ones_like(theta)
-        return dens / math.pi if normalized else dens
+        return np.ones_like(theta)
     if measure == TAN13:
-        dens = np.abs(np.tan(theta)) ** (1.0 / 3.0)
-        return dens / TAN13_THETA_MASS if normalized else dens
+        return np.abs(np.tan(theta)) ** (1.0 / 3.0)
     raise ValueError(f"unknown measure {measure!r}")
 
 

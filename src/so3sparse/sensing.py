@@ -1,4 +1,4 @@
-"""Measurement-matrix assembly, forward model, noise, preconditioning.
+"""Measurement-matrix assembly, noise, preconditioning.
 
 The sensed system is y = A g + eta where row i of A holds the Wigner-D
 functions at sample point i. Preconditioning multiplies row i by the
@@ -19,16 +19,13 @@ import numpy as np
 
 from . import sampling
 from .sampling import Samples, measure_mass, preconditioner_weight
-from .wigner import all_indices, basis_count, evaluate_basis
+from .wigner import all_indices, evaluate_basis
 
 __all__ = [
-    "CoefficientVector",
     "SensingProblem",
     "PreconditionedSystem",
     "build_matrix",
-    "forward",
     "add_noise",
-    "make_problem",
     "precondition",
     "gram_matrix",
     "save_problem",
@@ -36,30 +33,9 @@ __all__ = [
 ]
 
 
-@dataclass
-class CoefficientVector:
-    """Complex expansion coefficients over the bandwidth-B Wigner basis."""
-
-    B: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (basis_count(self.B),):
-            raise ValueError(
-                f"expected {basis_count(self.B)} coefficients for B={self.B}, "
-                f"got shape {self.values.shape}"
-            )
-
-
 def build_matrix(samples: Samples, B: int) -> np.ndarray:
     """m x N matrix of raw Wigner-D evaluations in canonical column order."""
     return evaluate_basis(B, samples.theta, samples.phi, samples.chi)
-
-
-def forward(g: CoefficientVector, samples: Samples) -> np.ndarray:
-    """Synthesize the bandlimited function at the sample points: y = A g."""
-    return build_matrix(samples, g.B) @ g.values
 
 
 def add_noise(y: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.ndarray:
@@ -82,10 +58,6 @@ class SensingProblem:
     samples: Samples
     B: int
 
-    @property
-    def m(self) -> int:
-        return len(self.y)
-
 
 @dataclass
 class PreconditionedSystem:
@@ -93,13 +65,6 @@ class PreconditionedSystem:
     y: np.ndarray          # scale * P * y_raw
     radius: float          # scale * sqrt(m) * epsilon
     scale: float
-
-
-def make_problem(
-    samples: Samples, B: int, y: np.ndarray, epsilon: float = 0.0
-) -> SensingProblem:
-    return SensingProblem(A=build_matrix(samples, B), y=np.asarray(y, dtype=complex),
-                          epsilon=float(epsilon), samples=samples, B=B)
 
 
 def precondition(
@@ -132,7 +97,7 @@ def _gram_quadrature(B: int, measure: str | None):
     else:
         # integrand carries weight(theta)^2 * density = sin(theta); pull the
         # sin back out of dx = sin(theta) dtheta so roundoff is the only error
-        dens = sampling.theta_density(measure, theta, normalized=False)
+        dens = sampling.theta_density(measure, theta)
         p2 = preconditioner_weight(measure, theta) ** 2
         comb = p2 * dens
         # tan13 density diverges at theta = pi/2 while the weight vanishes;
@@ -201,7 +166,7 @@ def save_problem(directory, problem: SensingProblem) -> None:
             fh.write(f"{v.real:.17g},{v.imag:.17g}\n")
     meta = {
         "B": problem.B,
-        "m": problem.m,
+        "m": len(problem.y),
         "epsilon": problem.epsilon,
         "measure": samples.measure,
     }
@@ -238,4 +203,5 @@ def load_problem(directory) -> SensingProblem:
             f"meta.json m={meta['m']}; all three must agree"
         )
     samples = Samples(theta, phi, chi, measures.pop())
-    return make_problem(samples, meta["B"], np.array(ys), meta["epsilon"])
+    return SensingProblem(A=build_matrix(samples, meta["B"]), y=np.array(ys),
+                          epsilon=float(meta["epsilon"]), samples=samples, B=meta["B"])

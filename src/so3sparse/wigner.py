@@ -1,4 +1,4 @@
-"""Exact evaluation of Jacobi polynomials, Wigner-d and Wigner-D functions.
+"""Wigner-d and Wigner-D functions from one kernel, the degree recurrence.
 
 The basis is the set of Wigner-D functions of degree l < B, linearized
 degree-major (l, then k, then n), giving N = B(2B-1)(2B+1)/3 columns.
@@ -17,7 +17,6 @@ __all__ = [
     "WignerIndex",
     "basis_count",
     "all_indices",
-    "jacobi_eval",
     "wigner_d",
     "wigner_D",
     "spherical_harmonic",
@@ -55,17 +54,6 @@ class WignerIndex:
         l, k, n = self.l, self.k, self.n
         return l * (2 * l - 1) * (2 * l + 1) // 3 + (k + l) * (2 * l + 1) + (n + l)
 
-    @classmethod
-    def from_column(cls, j: int, B: int) -> "WignerIndex":
-        if not 0 <= j < basis_count(B):
-            raise ValueError(f"column {j} outside basis of bandwidth {B}")
-        l = 0
-        while (l + 1) * (2 * l + 1) * (2 * l + 3) // 3 <= j:
-            l += 1
-        r = j - l * (2 * l - 1) * (2 * l + 1) // 3
-        k, n = divmod(r, 2 * l + 1)
-        return cls(l=l, k=k - l, n=n - l, B=B)
-
 
 def all_indices(B: int) -> list[WignerIndex]:
     """All indices of the bandwidth-B basis in canonical column order."""
@@ -77,69 +65,16 @@ def all_indices(B: int) -> list[WignerIndex]:
     ]
 
 
-def jacobi_eval(alpha: int, mu: int, lam: int, x):
-    """Jacobi polynomial P_alpha^(mu,lam)(x) on [-1, 1].
-
-    Ascending three-term recurrence in the degree at fixed (mu, lam);
-    stable and O(alpha) per point.
-    """
-    if alpha < 0 or mu < 0 or lam < 0:
-        raise ValueError("degree and orders must be non-negative")
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-14):
-        raise ValueError("argument outside [-1, 1]")
-
-    p_prev = np.ones_like(x)
-    if alpha == 0:
-        return p_prev
-    a, b = mu, lam
-    p = 0.5 * (a - b) + 0.5 * (a + b + 2) * x
-    for m in range(2, alpha + 1):
-        c = 2 * m + a + b
-        a1 = 2 * m * (m + a + b) * (c - 2)
-        a2 = (c - 1) * (a * a - b * b)
-        a3 = (c - 2) * (c - 1) * c
-        a4 = 2 * (m + a - 1) * (m + b - 1) * c
-        p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
-    return p
-
-
-def _jacobi_params(l: int, k: int, n: int):
-    """(mu, lam, alpha, omega, log_gamma) for the d-function at (l, k, n)."""
-    mu = abs(k - n)
-    lam = abs(k + n)
-    alpha = l - (mu + lam) // 2
-    omega = 1.0 if n >= k else float((-1) ** ((n - k) % 2))
-    log_gamma = (
-        gammaln(alpha + 1)
-        + gammaln(alpha + mu + lam + 1)
-        - gammaln(alpha + mu + 1)
-        - gammaln(alpha + lam + 1)
-    )
-    return mu, lam, alpha, omega, log_gamma
-
-
 def wigner_d(l: int, k: int, n: int, theta):
-    """Wigner-d function d_l^{k,n}(cos theta), theta in [0, pi].
-
-    sqrt(gamma) goes through log-gamma differences so large degrees do
-    not overflow the factorial ratio.
-    """
+    """Wigner-d function d_l^{k,n}(cos theta), theta in [0, pi], in theta's
+    shape: the last step of one lane of the degree recurrence."""
     if abs(k) > l or abs(n) > l or l < 0:
         raise ValueError(f"invalid index (l={l}, k={k}, n={n})")
     theta = np.asarray(theta, dtype=float)
     if np.any((theta < 0) | (theta > np.pi)):
         raise ValueError("theta outside [0, pi]")
-    mu, lam, alpha, omega, log_gamma = _jacobi_params(l, k, n)
-    half = 0.5 * theta
-    val = (
-        omega
-        * math.exp(0.5 * log_gamma)
-        * np.sin(half) ** mu
-        * np.cos(half) ** lam
-        * jacobi_eval(alpha, mu, lam, np.cos(theta))
-    )
-    return val
+    *_, (_, d) = _wigner_d_lanes([k], [n], theta.reshape(1, -1), l)
+    return d[0].reshape(theta.shape)[()]
 
 
 def _norm_factor(l: int) -> float:
@@ -180,8 +115,13 @@ def _wigner_d_lanes(k, n, theta, l_max: int):
     Lanes must come sorted by l0 = max(|k|, |n|), so the lanes defined at
     degree l are the first rows; d is a view that the next step overwrites.
     theta is one grid shared by every lane, or one grid per lane (shape
-    (lanes, points)). Each lane starts at its l0 from the alpha = 0 closed
-    form of wigner_d and climbs by the three-term recurrence in the degree
+    (lanes, points)). Each lane starts at its l0 from the closed form
+
+        d_{l0}^{k,n} = omega sqrt((mu + lam)! / (mu! lam!))
+                       sin(theta/2)^mu cos(theta/2)^lam,
+        mu = |k - n|,  lam = |k + n|,  omega = (-1)^(n - k) if n < k else 1,
+
+    and climbs by the three-term recurrence in the degree
     (Kostelec & Rockmore 2008, FFTs on the Rotation Group):
 
         d_l = a_l (cos theta - k n / (l (l-1))) d_{l-1} - c_l d_{l-2},

@@ -174,7 +174,7 @@ def test_08_nearfield_l1_vs_least_squares_separation():
         values = experiments.gen_sparse(nearfield.coefficient_count(B), s,
                                         experiments.COMPLEX_GAUSSIAN, rng)
         A = nearfield.build_dictionary(B, nearfield.default_probe_weights(), sched)
-        y = nearfield.transmission_forward(A, values)
+        y = A @ values
         rec, _ = nearfield.recover_transmission(A, sched, y, cfg=tight)
         ls = nearfield.baseline_least_squares(A, sched, y)
         nrm = np.linalg.norm(values)

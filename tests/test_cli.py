@@ -16,10 +16,17 @@ def _read(path):
 
 
 def test_eval_constant_mode(capsys):
-    rc = cli.run(["eval", "--l", "0", "--k", "0", "--n", "0",
-                  "--theta", "0.3", "--phi", "0.1", "--chi", "2.0"])
-    assert rc == 0
-    assert capsys.readouterr().out.strip() == "0.112540,0.000000"
+    # frozen strings; at the theta endpoints d_20^{7,-11} vanishes, and the
+    # sign of each printed zero is frozen too
+    for (l, k, n, theta, phi, chi), expected in (
+        ((0, 0, 0, 0.3, 0.1, 2.0), "0.112540,0.000000"),
+        ((20, 7, -11, 0.0, 0.0, 0.1), "0.000000,0.000000"),
+        ((20, 7, -11, math.pi, 0.0, 0.1), "-0.000000,-0.000000"),
+    ):
+        rc = cli.run(["eval", "--l", str(l), "--k", str(k), "--n", str(n),
+                      "--theta", str(theta), "--phi", str(phi), "--chi", str(chi)])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == expected
 
 
 def test_eval_phase_factor(capsys):
@@ -111,8 +118,8 @@ def _save_problem(path):
     rng = np.random.default_rng(11)
     x = gen_sparse(basis_count(2), 3, COMPLEX_GAUSSIAN, rng)
     points = sampling.sample_points(sampling.PRODUCT, rng, 60)
-    y = sensing.forward(sensing.CoefficientVector(2, x), points)
-    sensing.save_problem(str(path), sensing.make_problem(points, 2, y))
+    A = sensing.build_matrix(points, 2)
+    sensing.save_problem(str(path), sensing.SensingProblem(A, A @ x, 0.0, points, 2))
     return x
 
 
@@ -371,3 +378,16 @@ def test_entry_point_installed():
                               capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.112540,0.000000"
+
+
+def test_every_public_name_resolves():
+    # a stale __all__ entry breaks `from so3sparse.<module> import *`
+    import importlib
+    import pkgutil
+
+    import so3sparse
+
+    for info in pkgutil.iter_modules(so3sparse.__path__):
+        module = importlib.import_module(f"so3sparse.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"so3sparse.{info.name}.__all__ lists {name}"

@@ -21,7 +21,6 @@ from so3sparse.experiments import (
     gen_sparse,
     phase_transition,
     run_trial,
-    sigma_s,
 )
 from so3sparse.solver import CONVERGED, MAX_ITER, SolverResult
 from so3sparse.wigner import _SLICE, _wigner_d_lanes, basis_count, wigner_d
@@ -52,26 +51,6 @@ def test_gen_sparse_uniform_support():
     p = 1 / N
     band = 3 * math.sqrt(draws * p * (1 - p))
     assert np.all(np.abs(counts - draws * p) < band + 1e-9)
-
-
-def test_sigma_s_values():
-    g = np.array([3.0, -1.0, 2.0])
-    assert sigma_s(g, 1, 1) == pytest.approx(3.0)
-    assert sigma_s(g, 3, 2) == 0.0
-    # brute-force subset oracle
-    rng = np.random.default_rng(2)
-    g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    best = min(
-        np.linalg.norm(np.delete(g, list(keep)))
-        for keep in itertools.combinations(range(8), 2)
-    )
-    assert sigma_s(g, 2, 2) == pytest.approx(best, abs=1e-12)
-
-
-def test_sigma_s_tie_breaking():
-    g = np.array([1.0, 1.0, 1.0])
-    # keep the lower index on ties: dropping entries 1, 2
-    assert sigma_s(g, 1, 1) == pytest.approx(2.0)
 
 
 def test_run_trial_square_system_succeeds():

@@ -111,9 +111,7 @@ def test_preconditioning_identity():
     theta = np.linspace(1e-6, math.pi - 1e-6, 1001)
     theta = theta[np.abs(theta - math.pi / 2) > 1e-6]
     for measure in (sampling.PRODUCT, sampling.TAN13):
-        lhs = preconditioner_weight(measure, theta) ** 2 * theta_density(
-            measure, theta, normalized=False
-        )
+        lhs = preconditioner_weight(measure, theta) ** 2 * theta_density(measure, theta)
         ratio = lhs / np.sin(theta)
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-12
 

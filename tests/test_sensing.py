@@ -7,19 +7,18 @@ import pytest
 from so3sparse import sampling
 from so3sparse.sampling import Samples, preconditioner_weight
 from so3sparse.sensing import (
-    CoefficientVector,
+    SensingProblem,
     _gram_quadrature,
     _separable_gram,
     add_noise,
     build_matrix,
-    forward,
     gram_matrix,
     load_problem,
-    make_problem,
     precondition,
     save_problem,
 )
-from so3sparse.wigner import all_indices, basis_count, evaluate_basis, wigner_D
+from so3sparse.wigner import all_indices, basis_count, evaluate_basis
+from wigner_reference import wigner_D
 
 
 def _points(rng, m, measure=sampling.PRODUCT):
@@ -51,16 +50,16 @@ def test_build_matrix_rejects_empty():
 
 def test_forward_unit_vector():
     pts = _points(np.random.default_rng(1), 5)
-    g = CoefficientVector(2, np.eye(basis_count(2))[0])
+    g = np.eye(basis_count(2))[0]
     np.testing.assert_allclose(
-        forward(g, pts), np.full(5, 1 / math.sqrt(8 * math.pi**2)), atol=1e-14
+        build_matrix(pts, 2) @ g, np.full(5, 1 / math.sqrt(8 * math.pi**2)), atol=1e-14
     )
 
 
 def test_forward_zero():
     pts = _points(np.random.default_rng(2), 4)
-    g = CoefficientVector(3, np.zeros(basis_count(3)))
-    np.testing.assert_array_equal(forward(g, pts), np.zeros(4))
+    g = np.zeros(basis_count(3))
+    np.testing.assert_array_equal(build_matrix(pts, 3) @ g, np.zeros(4))
 
 
 def test_forward_matches_term_by_term_sum():
@@ -70,7 +69,7 @@ def test_forward_matches_term_by_term_sum():
     g = np.zeros(basis_count(B), dtype=complex)
     idxs = rng.choice(basis_count(B), 3, replace=False)
     g[idxs] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    y = forward(CoefficientVector(B, g), pts)
+    y = build_matrix(pts, B) @ g
     # brute-force triple-loop summation over (l, k, n)
     expected = np.zeros(4, dtype=complex)
     for idx in all_indices(B):
@@ -89,10 +88,9 @@ def test_forward_linearity():
     g1 = rng.standard_normal(basis_count(B)) + 1j * rng.standard_normal(basis_count(B))
     g2 = rng.standard_normal(basis_count(B)) + 1j * rng.standard_normal(basis_count(B))
     a, b = 1.7 - 0.3j, -0.6 + 2.1j
-    lhs = forward(CoefficientVector(B, a * g1 + b * g2), pts)
-    rhs = a * forward(CoefficientVector(B, g1), pts) + b * forward(
-        CoefficientVector(B, g2), pts
-    )
+    A = build_matrix(pts, B)
+    lhs = A @ (a * g1 + b * g2)
+    rhs = a * (A @ g1) + b * (A @ g2)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -118,7 +116,7 @@ def test_add_noise_determinism():
 
 def test_precondition_equator_points():
     pts = Samples([math.pi / 2] * 3, [0.1, 0.5, 2.0], [0.1] * 3, sampling.PRODUCT)
-    prob = make_problem(pts, 2, np.ones(3, dtype=complex))
+    prob = SensingProblem(build_matrix(pts, 2), np.ones(3, dtype=complex), 0.0, pts, 2)
     sysm = precondition(pts, prob.A, prob.y)
     np.testing.assert_allclose(preconditioner_weight(pts.measure, pts.theta), 1.0,
                                atol=1e-12)
@@ -128,7 +126,7 @@ def test_precondition_equator_points():
 
 def test_precondition_single_row_weight():
     pt = Samples([math.pi / 6], [0.3], [0.4], sampling.PRODUCT)
-    prob = make_problem(pt, 2, np.ones(1, dtype=complex))
+    prob = SensingProblem(build_matrix(pt, 2), np.ones(1, dtype=complex), 0.0, pt, 2)
     sysm = precondition(pt, prob.A, prob.y)
     np.testing.assert_allclose(
         sysm.A[0], sysm.scale * math.sqrt(0.5) * prob.A[0], atol=1e-12
@@ -151,7 +149,8 @@ def test_problem_serialization_round_trip(tmp_path):
     pts = _points(rng, 5)
     B = 2
     g = rng.standard_normal(basis_count(B))
-    prob = make_problem(pts, B, build_matrix(pts, B) @ g, epsilon=0.01)
+    A = build_matrix(pts, B)
+    prob = SensingProblem(A, A @ g, 0.01, pts, B)
     save_problem(tmp_path / "prob", prob)
     loaded = load_problem(tmp_path / "prob")
     assert loaded.B == B and loaded.epsilon == 0.01
@@ -179,7 +178,7 @@ def test_precondition_leaves_inputs_unchanged():
 
 def test_load_problem_rejects_mixed_measures_and_ignores_scale(tmp_path):
     pts = _points(np.random.default_rng(9), 3)
-    save_problem(tmp_path, make_problem(pts, 1, np.ones(3)))
+    save_problem(tmp_path, SensingProblem(build_matrix(pts, 1), np.ones(3), 0.0, pts, 1))
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert "scale" not in meta
     # meta.json files written before scale was dropped still load
@@ -242,7 +241,7 @@ def test_separable_gram_is_the_tensor_grid_sum(B):
 
 def _saved_problem(path, m=30):
     pts = _points(np.random.default_rng(10), m)
-    save_problem(path, make_problem(pts, 2, np.ones(m)))
+    save_problem(path, SensingProblem(build_matrix(pts, 2), np.ones(m), 0.0, pts, 2))
     return (path / "y.csv").read_text().splitlines(keepends=True)
 
 
@@ -261,7 +260,3 @@ def test_load_problem_rejects_row_counts_differing_from_meta(tmp_path):
     with pytest.raises(ValueError, match="m=29"):
         load_problem(tmp_path)
 
-
-def test_coefficient_vector_validates_length():
-    with pytest.raises(ValueError):
-        CoefficientVector(2, np.zeros(9))
