@@ -7,7 +7,12 @@ the data ball {x : ||A x - y|| <= radius} and z is updated by complex soft
 thresholding, so x - z is the only primal residual and an iteration costs
 two matvecs and a soft threshold.
 
-The set-up is one eigendecomposition A A* = V diag(lam) V*, cut at
+The set-up at radius 0 is a QR factorization when every |R_ii| passes the
+rank cut max(m, N) * eps relative to the largest. For m >= N the QR of
+[A, y] gives the one feasible point R[:N, :N]^-1 R[:N, N], returned with 0
+iterations, and |R[N, N]| is the distance of y from range(A); for m < N,
+A* = Q R gives W = Q*, V* y = R^-* y and lam = 1. Otherwise, and at any
+positive radius, it is one eigendecomposition A A* = V diag(lam) V*, cut at
 lam_max * max(m, N) * eps. With W = V* A and c = W q - V* y over the kept
 eigenvalues, the projection of q is q - W* diag(g) c: g = 1/lam at radius
 0 (the pseudo-inverse), q itself when ||c|| <= radius, and otherwise
@@ -23,7 +28,8 @@ cut on sigma, which the solve then uses if y is in the range after all.
 The penalty starts at rho_0 = 16 and is rebalanced every 10 iterations
 when the primal and dual residuals differ by 10x (residual balancing,
 He, Yang & Wang 2000). Starts of 1, 4 and 16 took the two 50-trial B=5
-phase-transition grids to 323264, 232830 and 232831 iterations, and 10
+phase-transition grids to 323264, 232830 and 232831 iterations before the
+radius-0 QR set-up (224085 at 16 after it, the m = N cells taking none), and 10
 near-field solves (B=12, s=16, m=200, eps=1e-3, both measures, seeds
 0-4) to 10318, 10011 and 6378, with every trial's success unchanged.
 
@@ -83,13 +89,14 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
+    # the defaults describe a solve that ends before the first iteration
     x: np.ndarray
-    iterations: int
-    primal_residual: float
-    dual_residual: float
-    status: str
-    penalty: float     # final ADMM penalty rho, after rebalancing
-    rebalances: int    # number of times rho was changed
+    iterations: int = 0
+    primal_residual: float = 0.0
+    dual_residual: float = 0.0
+    status: str = CONVERGED
+    penalty: float = _PENALTY    # final ADMM penalty rho, after rebalancing
+    rebalances: int = 0          # number of times rho was changed
 
     @property
     def objective(self) -> float:
@@ -122,12 +129,29 @@ def basis_pursuit(A: np.ndarray, y: np.ndarray, cfg: SolverConfig | None = None)
 
 
 class _DataBall:
-    """Euclidean projection onto {x : ||A x - y|| <= radius} by the cached
-    eigenbasis of the module docstring, or by an SVD basis with `exact_rank`."""
+    """Euclidean projection onto {x : ||A x - y|| <= radius} by a set-up of
+    the module docstring: the QR point or QR basis at radius 0 when R passes
+    the rank cut, else the cached eigenbasis, or an SVD basis with `exact_rank`."""
 
     def __init__(self, A: np.ndarray, y: np.ndarray, radius: float, exact_rank: bool = False):
         m, N = A.shape
         cut = max(m, N) * np.finfo(float).eps
+        self.point, self.lam, self.target, self.distance = None, None, 0.0, 0.0
+        self.mu = 0.0    # last root, the next Newton start
+        if radius == 0.0 and not exact_rank:
+            if m >= N:
+                R = np.linalg.qr(np.column_stack([A, y]), mode="r")
+            else:    # A^T = Q R, so A* = conj(Q) conj(R) and W = Q^T
+                Q, R = np.linalg.qr(A.T)
+            d = np.abs(R.diagonal()[:N])    # the diagonal of R[:N, :N]
+            if d.min() > d.max() * cut:
+                if m >= N:
+                    self.point = np.linalg.solve(R[:N, :N], R[:N, N])
+                    self.distance = _norm(R[N:, N])    # empty, so 0, when m = N
+                else:    # W W* = I: lam stays None and project skips the divide
+                    self.W = np.ascontiguousarray(Q.T)
+                    self.Vty = np.linalg.solve(R.T, y)
+                return
         if exact_rank:    # the cut applies to sigma, as in lstsq
             V, sigma, _ = np.linalg.svd(A)
             lam = np.pad(sigma, (0, m - sigma.size)) ** 2
@@ -142,14 +166,15 @@ class _DataBall:
         self.lam = lam[keep]
         # radius^2 minus the constant part of the misfit below the cut
         self.target = math.sqrt(max(radius * radius - self.distance ** 2, 0.0))
-        self.mu = 0.0    # last root, the next Newton start
 
     def project(self, q: np.ndarray) -> np.ndarray:
+        if self.point is not None:
+            return self.point
         c = self.W @ q - self.Vty
         t = self.target
-        if t == 0.0:
+        if t == 0.0 and self.lam is not None:
             c /= self.lam
-        else:
+        elif t > 0.0:
             a = c.real ** 2 + c.imag ** 2
             if math.sqrt(a.sum()) <= t:
                 return q
@@ -182,9 +207,7 @@ def bpdn_ball(
     N = A.shape[1]
     y_norm = _norm(y)
     if y_norm <= radius:
-        return SolverResult(x=np.zeros(N, dtype=complex), iterations=0,
-                            primal_residual=0.0, dual_residual=0.0, status=CONVERGED,
-                            penalty=_PENALTY, rebalances=0)
+        return SolverResult(x=np.zeros(N, dtype=complex))
 
     slack = radius + cfg.primal_tolerance * (1.0 + y_norm)
     ball = _DataBall(A, y, radius)
@@ -192,9 +215,10 @@ def bpdn_ball(
         # confirm on an SVD basis, cut on sigma as lstsq does
         ball = _DataBall(A, y, radius, exact_rank=True)
         if ball.distance > slack:
-            return SolverResult(x=ball.project(np.zeros(N, dtype=complex)), iterations=0,
-                                primal_residual=ball.distance, dual_residual=float("inf"),
-                                status=INFEASIBLE, penalty=_PENALTY, rebalances=0)
+            return SolverResult(x=ball.project(np.zeros(N, dtype=complex)), status=INFEASIBLE,
+                                primal_residual=ball.distance, dual_residual=float("inf"))
+    if ball.point is not None:    # the feasible set is one point
+        return SolverResult(x=ball.point, primal_residual=ball.distance)
 
     rho, rebalances, alpha = _PENALTY, 0, _OVER_RELAXATION
     # absolute parts of the stopping tolerances; the relative parts scale

@@ -198,21 +198,93 @@ def test_consistent_condition_1e7_is_not_infeasible():
     assert np.linalg.norm(res.x - x) < 1e-6 * np.linalg.norm(x)
 
 
+def _off_range(rng, A, distance):
+    """A y whose distance from range(A) is `distance`."""
+    m, N = A.shape
+    w = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    e = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    e -= A @ (np.linalg.pinv(A) @ e)
+    return A @ w + distance * e / np.linalg.norm(e)
+
+
+def _tall(rng, m=30, N=12):
+    return (rng.standard_normal((m, N)) + 1j * rng.standard_normal((m, N))) / np.sqrt(2 * m)
+
+
+def test_tall_consistent_system_is_one_point():
+    # full column rank: {x : A x = y} is one point, solved without iterations
+    rng = np.random.default_rng(15)
+    A = _tall(rng)
+    x = gen_sparse(12, 3, COMPLEX_GAUSSIAN, rng)
+    y = A @ x
+    res = bpdn_ball(A, y, 0.0)
+    assert res.status == CONVERGED
+    assert (res.iterations, res.rebalances, res.dual_residual) == (0, 0, 0.0)
+    xls, *_ = np.linalg.lstsq(A, y, rcond=None)
+    assert np.linalg.norm(res.x - xls) <= 1e-12 * np.linalg.norm(xls)
+    assert res.primal_residual == pytest.approx(np.linalg.norm(A @ res.x - y), abs=1e-14)
+    assert check_optimality(A, y, res.x).dual_violation <= 1e-8
+
+
+def test_tall_inconsistent_system_is_infeasible():
+    rng = np.random.default_rng(16)
+    A = _tall(rng)
+    y = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    xls, *_ = np.linalg.lstsq(A, y, rcond=None)
+    res = bpdn_ball(A, y, 0.0)
+    assert res.status == INFEASIBLE
+    assert res.primal_residual == pytest.approx(np.linalg.norm(A @ xls - y), rel=1e-12)
+    np.testing.assert_allclose(res.x, xls, rtol=0, atol=1e-12 * np.linalg.norm(xls))
+
+
+def test_tall_repeated_column_falls_back_to_admm():
+    # column 11 repeats column 3: the feasible set is a line, R's diagonal
+    # fails the rank gate and the solve runs the loop on the eigenbasis
+    rng = np.random.default_rng(17)
+    A = _tall(rng)
+    A[:, 11] = A[:, 3]
+    x = np.zeros(12, dtype=complex)
+    x[[3, 7]] = [1.0 - 0.5j, 0.25j]
+    y = A @ x
+    assert solver._DataBall(A, y, 0.0).point is None
+    res = bpdn_ball(A, y, 0.0, TIGHT)
+    assert res.status == CONVERGED and res.iterations > 0
+    assert res.objective == pytest.approx(np.sum(np.abs(x)), rel=1e-8)
+    rep = check_optimality(A, y, res.x)
+    assert rep.feasibility_gap < 1e-8 and rep.dual_violation < 1e-6
+
+
+@given(m=st.integers(1, 8), extra=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_qr_basis_projection_is_pseudo_inverse_step(m, extra, seed):
+    # wide full row rank at radius 0: the QR basis of A* gives q - A+(A q - y)
+    rng = np.random.default_rng(seed)
+    N = m + extra
+    A = rng.standard_normal((m, N)) + 1j * rng.standard_normal((m, N))
+    y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    q = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    ball = solver._DataBall(A, y, 0.0)
+    assert ball.lam is None and ball.distance == 0.0
+    pinv = np.linalg.pinv(A)
+    expected = q - pinv @ (A @ q - y)
+    scale = np.linalg.norm(q) + np.linalg.norm(pinv @ y)
+    np.testing.assert_allclose(ball.project(q), expected, rtol=0, atol=1e-10 * scale)
+
+
 def _projection_cases():
-    """(A, y, distance of y from range(A)): a wide complex matrix, and the
-    rank-4 matrix of `_repeated_rows` with y off its range by 1e-3."""
+    """(A, y, distance of y from range(A)): a wide complex matrix, the rank-4
+    matrix of `_repeated_rows` and a tall full-rank matrix, the last two with
+    y off their range by 1e-3."""
     rng = np.random.default_rng(21)
     wide = rng.standard_normal((8, 20)) + 1j * rng.standard_normal((8, 20))
     yield wide, rng.standard_normal(8) + 1j * rng.standard_normal(8), 0.0
     deficient = _repeated_rows(rng)
-    w = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    e = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    e -= deficient @ (np.linalg.pinv(deficient) @ e)
-    yield deficient, deficient @ w + 1e-3 * e / np.linalg.norm(e), 1e-3
+    yield deficient, _off_range(rng, deficient, 1e-3), 1e-3
+    tall = rng.standard_normal((20, 8)) + 1j * rng.standard_normal((20, 8))
+    yield tall, _off_range(rng, tall, 1e-3), 1e-3
 
 
 @pytest.mark.parametrize("A, y, distance", list(_projection_cases()),
-                         ids=["wide", "rank-deficient"])
+                         ids=["wide", "rank-deficient", "tall"])
 def test_ball_projection_properties(A, y, distance):
     N = A.shape[1]
     rng = np.random.default_rng(22)
