@@ -5,6 +5,7 @@ as an acceptance report. Statistical targets were calibrated once and then
 frozen; seeds are fixed throughout.
 """
 
+import functools
 import json
 import math
 import os
@@ -109,6 +110,7 @@ def _binomial_band(n: int) -> float:
     return 2.576 * math.sqrt(0.25 / n)
 
 
+@functools.cache
 def _grids():
     out = {}
     for measure in (sampling.PRODUCT, sampling.TAN13):
@@ -144,6 +146,23 @@ def test_06_phase_transition_sanity():
         f"tan13 contour {c_tan} vs product {c_prod} ({contour_ok}), "
         f"{elapsed:.0f}s",
     )
+
+
+# test_06's success rates, rows m = 20, 40, 80, 165 and columns s = 2, 4, 8:
+# one trial's flipped decision moves its cell by 0.02
+FROZEN_RATES = {
+    sampling.PRODUCT: [[1.0, 0.9, 0.0]] + [[1.0] * 3] * 3,
+    sampling.TAN13: [[1.0, 0.94, 0.02]] + [[1.0] * 3] * 3,
+}
+
+
+def test_06b_phase_transition_rates_are_frozen():
+    grids = _grids()
+    moved = {measure: int((grids[measure].success_rate != np.array(rates)).sum())
+             for measure, rates in FROZEN_RATES.items()}
+    ok = not any(moved.values())
+    assert _report("frozen phase-transition rates", ok,
+                   f"cells off their frozen rate per measure: {moved}")
 
 
 def test_07_noise_scaling_is_linear_in_epsilon():

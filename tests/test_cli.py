@@ -113,13 +113,13 @@ def test_existing_output_requires_force(tmp_path, capsys):
     assert "stale" not in (out / "bounds.csv").read_text()
 
 
-def _save_problem(path):
-    """A B=2 problem from 60 product samples of a 3-sparse vector, which it returns."""
+def _save_problem(path, B=2, m=60):
+    """A problem from m product samples of a 3-sparse degree-B vector, which it returns."""
     rng = np.random.default_rng(11)
-    x = gen_sparse(basis_count(2), 3, COMPLEX_GAUSSIAN, rng)
-    points = sampling.sample_points(sampling.PRODUCT, rng, 60)
-    A = sensing.build_matrix(points, 2)
-    sensing.save_problem(str(path), sensing.SensingProblem(A, A @ x, 0.0, points, 2))
+    x = gen_sparse(basis_count(B), 3, COMPLEX_GAUSSIAN, rng)
+    points = sampling.sample_points(sampling.PRODUCT, rng, m)
+    A = sensing.build_matrix(points, B)
+    sensing.save_problem(str(path), sensing.SensingProblem(A, A @ x, 0.0, points, B))
     return x
 
 
@@ -143,6 +143,23 @@ def test_recover_round_trip(tmp_path, capsys):
     assert abs(doublings) <= report["rebalances"]
     assert report["rebalances"] % 2 == abs(round(doublings)) % 2
     assert (out / "manifest.json").exists()
+
+
+def test_recover_polished_solve_is_exactly_sparse(tmp_path):
+    # radius 0 with 40 samples against basis_count(4) = 84 columns: the solve
+    # ends on a certified polish, which zeroes every entry off its support
+    pdir = tmp_path / "problem"
+    x = _save_problem(pdir, B=4, m=40)
+    out = tmp_path / "solve"
+    assert cli.run(["recover", "--problem-dir", str(pdir), "--output-dir", str(out)]) == 0
+    rows = (out / "x.csv").read_text().splitlines()[1:]
+    assert len(rows) == x.size
+    assert [i for i, row in enumerate(rows) if row != "0,0"] == list(np.flatnonzero(x))
+    got = np.loadtxt(out / "x.csv", delimiter=",", skiprows=1)
+    assert np.linalg.norm(got[:, 0] + 1j * got[:, 1] - x) <= 1e-9 * np.linalg.norm(x)
+    report = json.loads((out / "solve_report.json").read_text())
+    assert report["status"] == "Converged" and report["dual_residual"] == 0.0
+    assert report["iterations"] > 0 and report["iterations"] % 10 == 0
 
 
 def test_nearfield_sim_outputs_and_rerun(tmp_path):

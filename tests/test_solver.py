@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from so3sparse import solver
@@ -345,17 +345,20 @@ def test_ball_projection_matches_bisection_on_mu():
         np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-9 * np.linalg.norm(x_ref))
 
 
-def _reference_bpdn(A, y, radius, cfg):
+def _reference_bpdn(A, y, radius, cfg, polish=True):
     """The loop of `bpdn_ball` with every residual and tolerance evaluated at
-    every iteration; returns x, iterations, status and the last residuals."""
+    every iteration, and at radius 0 the polish on every 10th unless `polish`
+    is False; returns x, iterations, status and the last residuals."""
     N = A.shape[1]
     project = solver._DataBall(A, y, radius).project
+    slack = radius + cfg.primal_tolerance * (1.0 + _norm(y))
     rho, alpha = solver._PENALTY, solver._OVER_RELAXATION
     abs_pri = math.sqrt(N) * cfg.primal_tolerance
     abs_dua = math.sqrt(N) * cfg.dual_tolerance
     z, u = np.zeros(N, dtype=complex), np.zeros(N, dtype=complex)
     for it in range(1, cfg.max_iterations + 1):
-        x = project(z - u)
+        q = z - u
+        x = project(q)
         x_hat = alpha * x + (1.0 - alpha) * z
         z_old = z
         z = soft_threshold(x_hat + u, 1.0 / rho)
@@ -367,6 +370,9 @@ def _reference_bpdn(A, y, radius, cfg):
         if r_norm < eps_pri and s_norm < eps_dua:
             return z, it, CONVERGED, r_norm, s_norm
         if it % 10 == 0:
+            polished = polish and radius == 0.0 and solver._polish(A, y, z, rho * (x - q), slack)
+            if polished:
+                return polished[0], it, CONVERGED, polished[1], 0.0
             if r_norm > 10.0 * s_norm:
                 rho, u = 2.0 * rho, u / 2.0
             elif s_norm > 10.0 * r_norm:
@@ -388,19 +394,92 @@ def test_lazy_dual_test_matches_reference_loop():
         assert res.status == status == CONVERGED
         assert res.iterations == iterations
         np.testing.assert_array_equal(res.x, x)
+        # these radius-0 draws all end on a polish, which reports no dual residual
+        assert (res.dual_residual == 0.0) == (radius == 0.0)
+
+
+def _noisy(rng, m, n, s):
+    """A planted problem with y off the noiseless data by 0.8 of a radius of
+    0.05 ||A x||; returns A, y and the radius."""
+    A, _, y = _planted(rng, m, n, s)
+    radius = 0.05 * np.linalg.norm(y)
+    e = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return A, y + 0.8 * radius * e / np.linalg.norm(e), radius
 
 
 def test_max_iter_reports_final_dual_residual():
-    rng = np.random.default_rng(13)
-    A, _, y = _planted(rng, 20, 50, 3)
+    # at a positive radius, where no polish ends the loop early
+    A, y, radius = _noisy(np.random.default_rng(13), 20, 50, 3)
     cfg = SolverConfig(max_iterations=37)
-    res = bpdn_ball(A, y, 0.0, cfg)
-    x, iterations, status, r_norm, s_norm = _reference_bpdn(A, y, 0.0, cfg)
+    res = bpdn_ball(A, y, radius, cfg)
+    x, iterations, status, r_norm, s_norm = _reference_bpdn(A, y, radius, cfg)
     assert res.status == status == MAX_ITER
     assert res.iterations == iterations == 37
     np.testing.assert_array_equal(res.x, x)
     assert res.primal_residual == r_norm
     assert res.dual_residual == s_norm
+
+
+def _spy_polish(monkeypatch):
+    """Record the support size of z at every polish attempt."""
+    sizes, polish = [], solver._polish
+
+    def spy(A, y, z, w, slack):
+        sizes.append(np.count_nonzero(z))
+        return polish(A, y, z, w, slack)
+
+    monkeypatch.setattr(solver, "_polish", spy)
+    return sizes
+
+
+@settings(deadline=None)
+@given(m=st.integers(4, 24), extra=st.integers(1, 30), sparsity=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2**32 - 1))
+def test_polished_solve_is_certified(m, extra, sparsity, seed):
+    rng = np.random.default_rng(seed)
+    A, x0, y = _planted(rng, m, m + extra, max(1, int(sparsity * m)))
+    cfg = SolverConfig()
+    res = bpdn_ball(A, y, 0.0, cfg)
+    assume(res.iterations > 0 and res.dual_residual == 0.0)    # ended on a polish
+    assert res.status == CONVERGED and res.iterations % 10 == 0
+    support = res.x != 0
+    assert 0 < support.sum() <= m
+    misfit = np.linalg.norm(A @ res.x - y)
+    assert misfit <= cfg.primal_tolerance * (1.0 + np.linalg.norm(y))
+    assert res.primal_residual == pytest.approx(misfit, rel=1e-6, abs=1e-15)
+    # the planted vector is feasible, so it bounds the minimum
+    assert res.objective <= np.sum(np.abs(x0)) * (1 + 1e-12)
+    # support_tol 0 certifies x on exactly its nonzeros
+    rep = check_optimality(A, y, res.x, support_tol=0.0)
+    assert rep.dual_violation <= 1e-9
+
+
+def test_support_beyond_m_never_polishes(monkeypatch):
+    # 10 of 50 entries from 20 measurements: z keeps more than 20 nonzeros
+    rng = np.random.default_rng(100)
+    A, _, y = _planted(rng, 20, 50, 10)
+    sizes = _spy_polish(monkeypatch)
+    res = bpdn_ball(A, y, 0.0)
+    assert sizes and min(sizes) > 20
+    x, iterations, status, r_norm, s_norm = _reference_bpdn(A, y, 0.0, SolverConfig(),
+                                                            polish=False)
+    assert res.status == status == CONVERGED
+    assert (res.iterations, res.primal_residual, res.dual_residual) == (iterations, r_norm,
+                                                                      s_norm)
+    np.testing.assert_array_equal(res.x, x)
+
+
+def test_positive_radius_never_polishes(monkeypatch):
+    A, y, radius = _noisy(np.random.default_rng(101), 20, 50, 3)
+    sizes = _spy_polish(monkeypatch)
+    res = bpdn_ball(A, y, radius)
+    assert not sizes
+    x, iterations, status, r_norm, s_norm = _reference_bpdn(A, y, radius, SolverConfig(),
+                                                            polish=False)
+    assert res.status == status == CONVERGED
+    assert (res.iterations, res.primal_residual, res.dual_residual) == (iterations, r_norm,
+                                                                      s_norm)
+    np.testing.assert_array_equal(res.x, x)
 
 
 def test_bpdn_infeasible_ball():
