@@ -129,7 +129,7 @@ def baseline_least_squares(A: np.ndarray, samples: Samples, y: np.ndarray) -> np
     """Minimum-norm truncated-SVD solution of the same preconditioned system,
     standing in for the classical pipeline at equal measurement count."""
     system = precondition(samples, A, y)
-    return np.linalg.pinv(system.A, rcond=LS_RCOND) @ system.y
+    return np.linalg.lstsq(system.A, system.y, rcond=LS_RCOND)[0]
 
 
 def pattern_cut(

@@ -31,28 +31,32 @@ He, Yang & Wang 2000). Starts of 1, 4 and 16 took the two 50-trial B=5
 phase-transition grids to 323264, 232830 and 232831 iterations before the
 radius-0 QR set-up and polish (99139 at 16 with both, the m = N cells
 taking none), and 10 near-field solves (B=12, s=16, m=200, eps=1e-3, both
-measures, seeds 0-4) to 10318, 10011 and 6378, with every trial's success
-unchanged.
+measures, seeds 0-4) to 10318, 10011 and 6378 before the ball polish (860
+at 16 with it), with every trial's success unchanged.
 
-At radius 0 every 10th iteration also tries a polish, as in OSQP
-(Stellato et al. 2020): with S = supp(z) and 0 < |S| <= m, a reduced QR of
-A_S that passes the rank cut gives x_S = R^-1 Q* y. The loop's subgradient
-estimate w = rho (x - q), q the projection input, lies in range(A*); the
-correction w' = w + A* Q R^-* (sign(x_S) - w_S) stays there and equals
-sign(x_S) on S. If ||A_S x_S - y|| is within the primal slack, no entry of
-x_S is 0 and |w'_j| <= 1 off S, then w' is a dual certificate (Fuchs 2004)
-and the exactly sparse x is returned as converged, with a 0 dual
-residual. Otherwise the iterates go on untouched, so a solve that never
-polishes, as every one at a positive radius, runs as it would without.
+Every 10th iteration also tries a polish, as in OSQP (Stellato et al.
+2020), on S = supp(z) when 0 < |S| <= m and A_S = Q R passes the rank cut.
+A polished x is returned as converged, exactly sparse, with a 0 dual
+residual; otherwise the iterates go on untouched. Either way x_S must have no
+0 entry and a misfit within the primal slack. At radius 0, x_S = R^-1 Q* y
+and the loop's subgradient estimate w = rho (x - q), q the projection input,
+lies in range(A*); w' = w + A* Q R^-* (sign(x_S) - w_S) stays there, equals
+sign(x_S) on S and must be at most 1 off S: a dual certificate (Fuchs
+2004). At a positive radius, with d = ||y - Q Q* y|| < radius and unit
+phases sigma on S, x_S = R^-1 (Q* y - t v), v = R^-* sigma and
+t = sqrt(radius^2 - d^2)/||v||, has a residual e with ||e|| = radius and
+A_S* e = t sigma. sigma starts at the phases of z and takes those of x_S
+while the duality gap against the dual point e/||A* e||_inf falls; the
+lowest gap must be within the dual tolerance.
 
 The dual residual and its tolerance are only evaluated when the primal
 test passes, on a rebalance iteration or on the last allowed one, the
 only places they are read; the iterates do not change.
 
-`check_optimality` builds its KKT certificate itself: a dual vector u
-that matches the signs of x on the support, chosen to minimize the
+`check_optimality` builds its KKT certificate itself: at radius 0 a dual
+vector u that matches the signs of x on the support, chosen to minimize the
 off-support sup-norm of A* u by a short ADMM over the null space of the
-support equalities.
+support equalities; at a positive radius the same closed-form duality gap.
 
 The l1 objective is the sum of complex moduli throughout.
 """
@@ -207,11 +211,20 @@ class _DataBall:
         return q - (c.conj() @ self.W).conj()
 
 
-def _polish(A: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, slack: float):
-    """The radius-0 solution on S = supp(z), if a certificate proves it
-    optimal: (x, ||A x - y||), else None. w in range(A*) is the loop's
-    subgradient estimate; it is corrected within range(A*) to match the signs
-    of x on S, and x is kept only if the result is at most 1 off S."""
+def _duality_gap(A: np.ndarray, y: np.ndarray, radius: float, objective: float,
+                 e: np.ndarray) -> float:
+    """Relative duality gap of a point with l1 norm `objective` and residual
+    e = y - A x: the dual max Re<nu, y> - radius ||nu|| subject to
+    ||A* nu||_inf <= 1 bounds the minimum from below, here at nu = e/||A* e||_inf."""
+    dual = (np.vdot(e, y).real - radius * _norm(e)) / np.max(np.abs(e.conj() @ A))
+    return (objective - dual) / objective
+
+
+def _polish(A: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, radius: float,
+            slack: float, gap_tolerance: float):
+    """The polish of the module docstring on S = supp(z): (x, max(||A x - y||
+    - radius, 0)) if a certificate proves x optimal, else None. w is the
+    loop's subgradient estimate, read at radius 0."""
     m, N = A.shape
     S = np.flatnonzero(z)
     if not 0 < S.size <= m:
@@ -221,18 +234,39 @@ def _polish(A: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, slack: f
     d = np.abs(R.diagonal())
     if d.min() <= d.max() * max(m, N) * np.finfo(float).eps:
         return None
-    x_S = np.linalg.solve(R, Q.conj().T @ y)
-    misfit = _norm(A_S @ x_S - y)
+    Qy = Q.conj().T @ y
+    if radius == 0.0:
+        x_S = np.linalg.solve(R, Qy)
+        misfit = _norm(A_S @ x_S - y)
+    else:
+        h = radius * radius - _norm(y - Q @ Qy) ** 2
+        if h <= 0.0:
+            return None
+        gap, sigma = math.inf, z[S] / np.abs(z[S])
+        while True:
+            v = np.linalg.solve(R.conj().T, sigma)
+            p = np.linalg.solve(R, Qy - (math.sqrt(h) / _norm(v)) * v)
+            e = y - A_S @ p
+            g = _duality_gap(A, y, radius, float(np.sum(np.abs(p))), e)
+            if not g < gap:
+                break
+            gap, x_S, misfit = g, p, _norm(e)
+            if not np.all(p):
+                break
+            sigma = p / np.abs(p)
+        if not gap <= gap_tolerance:
+            return None
     if misfit > slack or not np.all(x_S):
         return None
-    nu = Q @ np.linalg.solve(R.conj().T, x_S / np.abs(x_S) - w[S])
-    w = w + (nu.conj() @ A).conj()    # equals the signs of x_S on S
-    w[S] = 0.0
-    if np.max(np.abs(w)) > 1.0:
-        return None
+    if radius == 0.0:
+        nu = Q @ np.linalg.solve(R.conj().T, x_S / np.abs(x_S) - w[S])
+        w = w + (nu.conj() @ A).conj()    # equals the signs of x_S on S
+        w[S] = 0.0
+        if np.max(np.abs(w)) > 1.0:
+            return None
     x = np.zeros(N, dtype=complex)
     x[S] = x_S
-    return x, misfit
+    return x, max(misfit - radius, 0.0)
 
 
 def bpdn_ball(
@@ -286,7 +320,8 @@ def bpdn_ball(
                                 dual_residual=s_norm, status=CONVERGED, penalty=rho,
                                 rebalances=rebalances)
         # x - q = -W* g c, so rho (x - q) lies in range(A*)
-        polished = rebalance and radius == 0.0 and _polish(A, y, z, rho * (x - q), slack)
+        polished = rebalance and _polish(A, y, z, rho * (x - q), radius, slack,
+                                         cfg.dual_tolerance)
         if polished:
             return SolverResult(x=polished[0], iterations=it, primal_residual=polished[1],
                                 penalty=rho, rebalances=rebalances)
@@ -317,7 +352,7 @@ def _project_l1_ball(t: np.ndarray, radius: float) -> np.ndarray:
 @dataclass
 class OptimalityReport:
     feasibility_gap: float    # max(||Ax - y|| - radius, 0)
-    dual_violation: float     # certificate fit + inf-norm excess of A* u
+    dual_violation: float     # fit + inf-norm excess of A* u; at radius > 0 the gap
     support_size: int
 
 
@@ -327,7 +362,8 @@ def check_optimality(
 ) -> OptimalityReport:
     """KKT check: search for a dual vector u with (A* u)_j = x_j/|x_j| on
     the support S and ||A* u||_inf <= 1; the violation is how badly the best
-    candidate found misses.
+    candidate found misses. At a positive radius it is instead the relative
+    duality gap of x against the dual point of its own residual, closed form.
 
     One SVD of A_S* gives the least-norm fit u0 of the support equalities
     and an orthonormal basis Z of their null space, so every u = u0 + Z w
@@ -344,11 +380,15 @@ def check_optimality(
     A = np.asarray(A, dtype=complex)
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    feas = max(float(np.linalg.norm(A @ x - y)) - radius, 0.0)
+    e = y - A @ x
+    feas = max(float(np.linalg.norm(e)) - radius, 0.0)
     mag = np.abs(x)
     support = mag > support_tol * max(mag.max(), 1e-300)
     if not support.any():
         return OptimalityReport(feasibility_gap=feas, dual_violation=0.0, support_size=0)
+    if radius > 0.0:
+        return OptimalityReport(feasibility_gap=feas, support_size=int(support.sum()),
+                                dual_violation=_duality_gap(A, y, radius, float(mag.sum()), e))
     signs = x[support] / mag[support]
     AsH = A[:, support].conj().T
     U, sv, Vh = np.linalg.svd(AsH)

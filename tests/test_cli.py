@@ -189,7 +189,7 @@ def test_nearfield_sim_reports_solver_state(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["solver_penalty"] > 0
     assert isinstance(report["solver_rebalances"], int) and report["solver_rebalances"] >= 0
-    assert report["l1_misfit_over_radius"] == pytest.approx(1.0, abs=1e-3)
+    assert report["l1_misfit_over_radius"] <= 1 + 1e-12
     out2 = tmp_path / "nf2"
     assert cli.run(["rerun", str(out / "manifest.json"), "--output-dir", str(out2)]) == 0
     assert _read(out / "report.json") == _read(out2 / "report.json")

@@ -19,7 +19,7 @@ from so3sparse.nearfield import (
     recover_transmission,
     weight_condition,
 )
-from so3sparse.sensing import build_matrix
+from so3sparse.sensing import build_matrix, precondition
 from so3sparse.solver import SolverConfig
 from so3sparse.wigner import _SLICE, WignerIndex
 from wigner_reference import wigner_D
@@ -257,6 +257,8 @@ def test_recover_with_noise_stays_feasible():
     y = y + eps * 0.5 * np.exp(1j * rng.uniform(0, 2 * math.pi, m))
     rec, res = recover_transmission(A, sched, y, epsilon=eps, cfg=TIGHT)
     assert res.status == "Converged"
+    system = precondition(sched, A, y, eps)
+    assert np.linalg.norm(system.A @ rec - system.y) <= system.radius * (1 + 1e-12)
 
 
 def test_pattern_cut_scale_invariance_and_atom():

@@ -347,8 +347,8 @@ def test_ball_projection_matches_bisection_on_mu():
 
 def _reference_bpdn(A, y, radius, cfg, polish=True):
     """The loop of `bpdn_ball` with every residual and tolerance evaluated at
-    every iteration, and at radius 0 the polish on every 10th unless `polish`
-    is False; returns x, iterations, status and the last residuals."""
+    every iteration, and the polish on every 10th unless `polish` is False;
+    returns x, iterations, status and the last residuals."""
     N = A.shape[1]
     project = solver._DataBall(A, y, radius).project
     slack = radius + cfg.primal_tolerance * (1.0 + _norm(y))
@@ -370,7 +370,8 @@ def _reference_bpdn(A, y, radius, cfg, polish=True):
         if r_norm < eps_pri and s_norm < eps_dua:
             return z, it, CONVERGED, r_norm, s_norm
         if it % 10 == 0:
-            polished = polish and radius == 0.0 and solver._polish(A, y, z, rho * (x - q), slack)
+            polished = polish and solver._polish(A, y, z, rho * (x - q), radius, slack,
+                                                 cfg.dual_tolerance)
             if polished:
                 return polished[0], it, CONVERGED, polished[1], 0.0
             if r_norm > 10.0 * s_norm:
@@ -394,42 +395,45 @@ def test_lazy_dual_test_matches_reference_loop():
         assert res.status == status == CONVERGED
         assert res.iterations == iterations
         np.testing.assert_array_equal(res.x, x)
-        # these radius-0 draws all end on a polish, which reports no dual residual
-        assert (res.dual_residual == 0.0) == (radius == 0.0)
+        # these draws all end on a polish, which reports no dual residual
+        assert res.dual_residual == 0.0
 
 
 def _noisy(rng, m, n, s):
     """A planted problem with y off the noiseless data by 0.8 of a radius of
-    0.05 ||A x||; returns A, y and the radius."""
-    A, _, y = _planted(rng, m, n, s)
+    0.05 ||A x||; returns A, the planted x, y and the radius."""
+    A, x, y = _planted(rng, m, n, s)
     radius = 0.05 * np.linalg.norm(y)
     e = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return A, y + 0.8 * radius * e / np.linalg.norm(e), radius
-
-
-def test_max_iter_reports_final_dual_residual():
-    # at a positive radius, where no polish ends the loop early
-    A, y, radius = _noisy(np.random.default_rng(13), 20, 50, 3)
-    cfg = SolverConfig(max_iterations=37)
-    res = bpdn_ball(A, y, radius, cfg)
-    x, iterations, status, r_norm, s_norm = _reference_bpdn(A, y, radius, cfg)
-    assert res.status == status == MAX_ITER
-    assert res.iterations == iterations == 37
-    np.testing.assert_array_equal(res.x, x)
-    assert res.primal_residual == r_norm
-    assert res.dual_residual == s_norm
+    return A, x, y + 0.8 * radius * e / np.linalg.norm(e), radius
 
 
 def _spy_polish(monkeypatch):
     """Record the support size of z at every polish attempt."""
     sizes, polish = [], solver._polish
 
-    def spy(A, y, z, w, slack):
+    def spy(A, y, z, *args):
         sizes.append(np.count_nonzero(z))
-        return polish(A, y, z, w, slack)
+        return polish(A, y, z, *args)
 
     monkeypatch.setattr(solver, "_polish", spy)
     return sizes
+
+
+def test_max_iter_reports_final_dual_residual(monkeypatch):
+    # 10 of 50 entries from 20 measurements: z keeps more than 20 nonzeros at
+    # iterations 10, 20 and 30, so no polish can end the loop before 37
+    A, _, y, radius = _noisy(np.random.default_rng(13), 20, 50, 10)
+    sizes = _spy_polish(monkeypatch)
+    cfg = SolverConfig(max_iterations=37)
+    res = bpdn_ball(A, y, radius, cfg)
+    assert len(sizes) == 3 and min(sizes) > 20
+    x, iterations, status, r_norm, s_norm = _reference_bpdn(A, y, radius, cfg)
+    assert res.status == status == MAX_ITER
+    assert res.iterations == iterations == 37
+    np.testing.assert_array_equal(res.x, x)
+    assert res.primal_residual == r_norm
+    assert res.dual_residual == s_norm
 
 
 @settings(deadline=None)
@@ -454,32 +458,55 @@ def test_polished_solve_is_certified(m, extra, sparsity, seed):
     assert rep.dual_violation <= 1e-9
 
 
-def test_support_beyond_m_never_polishes(monkeypatch):
-    # 10 of 50 entries from 20 measurements: z keeps more than 20 nonzeros
-    rng = np.random.default_rng(100)
-    A, _, y = _planted(rng, 20, 50, 10)
-    sizes = _spy_polish(monkeypatch)
-    res = bpdn_ball(A, y, 0.0)
-    assert sizes and min(sizes) > 20
-    x, iterations, status, r_norm, s_norm = _reference_bpdn(A, y, 0.0, SolverConfig(),
-                                                            polish=False)
-    assert res.status == status == CONVERGED
-    assert (res.iterations, res.primal_residual, res.dual_residual) == (iterations, r_norm,
-                                                                      s_norm)
-    np.testing.assert_array_equal(res.x, x)
+@settings(deadline=None)
+@given(m=st.integers(4, 24), extra=st.integers(1, 30), sparsity=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2**32 - 1))
+def test_polished_ball_solve_is_certified(m, extra, sparsity, seed):
+    rng = np.random.default_rng(seed)
+    A, x0, y, radius = _noisy(rng, m, m + extra, max(1, int(sparsity * m)))
+    cfg = SolverConfig()
+    res = bpdn_ball(A, y, radius, cfg)
+    assume(res.iterations > 0 and res.dual_residual == 0.0)    # ended on a polish
+    assert res.status == CONVERGED and res.iterations % 10 == 0
+    assert 0 < np.count_nonzero(res.x) <= m
+    misfit = np.linalg.norm(A @ res.x - y)
+    assert misfit <= radius + cfg.primal_tolerance * (1.0 + np.linalg.norm(y))
+    # the planted vector is feasible, so it bounds the minimum
+    assert res.objective <= np.sum(np.abs(x0)) * (1 + cfg.dual_tolerance)
 
 
-def test_positive_radius_never_polishes(monkeypatch):
-    A, y, radius = _noisy(np.random.default_rng(101), 20, 50, 3)
+def _assert_plain_loop(monkeypatch, A, y, radius):
+    """z keeps more than m nonzeros at every polish attempt, so the solve is
+    the loop without the polish, bit for bit."""
     sizes = _spy_polish(monkeypatch)
     res = bpdn_ball(A, y, radius)
-    assert not sizes
+    assert sizes and min(sizes) > A.shape[0]
     x, iterations, status, r_norm, s_norm = _reference_bpdn(A, y, radius, SolverConfig(),
                                                             polish=False)
     assert res.status == status == CONVERGED
     assert (res.iterations, res.primal_residual, res.dual_residual) == (iterations, r_norm,
                                                                       s_norm)
     np.testing.assert_array_equal(res.x, x)
+
+
+def test_support_beyond_m_never_polishes(monkeypatch):
+    # 10 of 50 entries from 20 measurements: z keeps more than 20 nonzeros
+    A, _, y = _planted(np.random.default_rng(100), 20, 50, 10)
+    _assert_plain_loop(monkeypatch, A, y, 0.0)
+
+
+def test_positive_radius_support_beyond_m_never_polishes(monkeypatch):
+    A, _, y, radius = _noisy(np.random.default_rng(101), 20, 50, 10)
+    _assert_plain_loop(monkeypatch, A, y, radius)
+
+
+def test_check_optimality_ball_gap():
+    # the planted vector is feasible but not optimal; the solve's is certified
+    A, x0, y, radius = _noisy(np.random.default_rng(101), 20, 50, 3)
+    assert check_optimality(A, y, x0, radius).dual_violation > 1.0
+    res = bpdn_ball(A, y, radius)
+    assert res.dual_residual == 0.0    # ended on a polish
+    assert check_optimality(A, y, res.x, radius).dual_violation <= SolverConfig().dual_tolerance
 
 
 def test_bpdn_infeasible_ball():
