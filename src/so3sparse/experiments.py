@@ -71,7 +71,6 @@ class PhaseTransitionGrid:
     m_values: list[int]
     s_values: list[int]
     success_rate: np.ndarray      # shape (len(m_values), len(s_values))
-    config: TrialConfig
 
 
 def gen_sparse(
@@ -161,7 +160,7 @@ def phase_transition(
     for idx, rate in results:
         rates[idx] = rate
     grid = rates.reshape(len(m_values), len(s_values))
-    return PhaseTransitionGrid(list(m_values), list(s_values), grid, template)
+    return PhaseTransitionGrid(list(m_values), list(s_values), grid)
 
 
 def contour_half_success(grid: PhaseTransitionGrid) -> list[float]:

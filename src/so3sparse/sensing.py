@@ -156,14 +156,13 @@ def save_problem(directory, problem: SensingProblem) -> None:
     """Serialize to points.csv / y.csv / meta.json inside `directory`."""
     os.makedirs(directory, exist_ok=True)
     samples = problem.samples
-    with open(os.path.join(directory, "points.csv"), "w") as fh:
-        fh.write("theta,phi,chi,measure\n")
-        for t, p, c in zip(samples.theta, samples.phi, samples.chi):
-            fh.write(f"{t:.17g},{p:.17g},{c:.17g},{samples.measure}\n")
-    with open(os.path.join(directory, "y.csv"), "w") as fh:
-        fh.write("re,im\n")
-        for v in problem.y:
-            fh.write(f"{v.real:.17g},{v.imag:.17g}\n")
+    np.savetxt(os.path.join(directory, "points.csv"),
+               np.column_stack([samples.theta, samples.phi, samples.chi]),
+               fmt=f"%.17g,%.17g,%.17g,{samples.measure}",
+               header="theta,phi,chi,measure", comments="")
+    np.savetxt(os.path.join(directory, "y.csv"),
+               np.column_stack([problem.y.real, problem.y.imag]),
+               fmt="%.17g", delimiter=",", header="re,im", comments="")
     meta = {
         "B": problem.B,
         "m": len(problem.y),
@@ -176,32 +175,25 @@ def save_problem(directory, problem: SensingProblem) -> None:
 
 
 def load_problem(directory) -> SensingProblem:
-    """Read a problem written by save_problem. A points.csv that mixes
-    measures or names an unknown one, or a y.csv whose row count differs
-    from points.csv or from meta.json's m, is rejected with ValueError."""
+    """Read a problem written by save_problem. A row numpy cannot parse, a
+    points.csv that mixes measures or names an unknown one, or a y.csv whose
+    row count differs from points.csv or from meta.json's m, is rejected
+    with ValueError."""
     with open(os.path.join(directory, "meta.json")) as fh:
         meta = json.load(fh)
-    rows = []
-    with open(os.path.join(directory, "points.csv")) as fh:
-        next(fh)
-        for line in fh:
-            t, p, c, meas = line.strip().split(",")
-            rows.append((float(t), float(p), float(c), meas))
-    measures = {row[3] for row in rows}
+    theta, phi, chi, measure = np.loadtxt(os.path.join(directory, "points.csv"), dtype=str,
+                                          delimiter=",", skiprows=1, ndmin=2, unpack=True)
+    measures = set(measure.tolist())
     if len(measures) != 1:
         raise ValueError(f"points.csv must hold one measure, found {sorted(measures)}")
-    theta, phi, chi = (np.array([row[i] for row in rows]) for i in range(3))
-    ys = []
-    with open(os.path.join(directory, "y.csv")) as fh:
-        next(fh)
-        for line in fh:
-            re, im = line.strip().split(",")
-            ys.append(complex(float(re), float(im)))
-    if not len(ys) == len(rows) == meta["m"]:
+    # each (re, im) row of float64 pairs is one complex128
+    y = np.loadtxt(os.path.join(directory, "y.csv"), delimiter=",", skiprows=1,
+                   ndmin=2).view(complex)[:, 0]
+    if not len(y) == len(theta) == meta["m"]:
         raise ValueError(
-            f"y.csv has {len(ys)} rows and points.csv {len(rows)}, "
+            f"y.csv has {len(y)} rows and points.csv {len(theta)}, "
             f"meta.json m={meta['m']}; all three must agree"
         )
     samples = Samples(theta, phi, chi, measures.pop())
-    return SensingProblem(A=build_matrix(samples, meta["B"]), y=np.array(ys),
+    return SensingProblem(A=build_matrix(samples, meta["B"]), y=y,
                           epsilon=float(meta["epsilon"]), samples=samples, B=meta["B"])

@@ -353,7 +353,6 @@ def _project_l1_ball(t: np.ndarray, radius: float) -> np.ndarray:
 class OptimalityReport:
     feasibility_gap: float    # max(||Ax - y|| - radius, 0)
     dual_violation: float     # fit + inf-norm excess of A* u; at radius > 0 the gap
-    support_size: int
 
 
 def check_optimality(
@@ -385,9 +384,9 @@ def check_optimality(
     mag = np.abs(x)
     support = mag > support_tol * max(mag.max(), 1e-300)
     if not support.any():
-        return OptimalityReport(feasibility_gap=feas, dual_violation=0.0, support_size=0)
+        return OptimalityReport(feasibility_gap=feas, dual_violation=0.0)
     if radius > 0.0:
-        return OptimalityReport(feasibility_gap=feas, support_size=int(support.sum()),
+        return OptimalityReport(feasibility_gap=feas,
                                 dual_violation=_duality_gap(A, y, radius, float(mag.sum()), e))
     signs = x[support] / mag[support]
     AsH = A[:, support].conj().T
@@ -419,6 +418,4 @@ def check_optimality(
     corr = A.conj().T @ u
     fit = float(np.max(np.abs(corr[support] - signs)))
     violation = max(fit, max(float(np.max(np.abs(corr))) - 1.0, 0.0))
-    return OptimalityReport(feasibility_gap=feas,
-                            dual_violation=violation,
-                            support_size=int(support.sum()))
+    return OptimalityReport(feasibility_gap=feas, dual_violation=violation)

@@ -145,6 +145,21 @@ def test_recover_round_trip(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("name, edit", [
+    ("points.csv", lambda text: text.split("\n", 1)[0] + "\n"),          # header only
+    ("points.csv", lambda text: text.replace(",product\n", "\n", 1)),     # three fields
+    ("y.csv", lambda text: "re,im\nabc,0\n" + text.split("\n", 2)[2]),   # not a number
+])
+def test_recover_rejects_malformed_problem_files(name, edit, tmp_path, capsys):
+    pdir, out = tmp_path / "problem", tmp_path / "solve"
+    _save_problem(pdir)
+    (pdir / name).write_text(edit((pdir / name).read_text()))
+    assert cli.run(["recover", "--problem-dir", str(pdir), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: config: cannot load problem" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_recover_polished_solve_is_exactly_sparse(tmp_path):
     # radius 0 with 40 samples against basis_count(4) = 84 columns: the solve
     # ends on a certified polish, which zeroes every entry off its support

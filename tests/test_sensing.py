@@ -160,6 +160,31 @@ def test_problem_serialization_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.samples.theta, pts.theta)
 
 
+def test_saved_problem_files_are_frozen_text(tmp_path):
+    # the exact bytes of each file: a header line, 17 significant digits per
+    # value (a signed zero as -0) and a final newline
+    pts = Samples([0.1, math.pi / 2, 3.0], [0.0, 2 / 3, 6.25], [1e-17, 5.0, math.pi],
+                  sampling.PRODUCT)
+    y = np.array([1 / 3 - 2j, complex(-0.0, 0.1), 1e300 - 1e-300j])
+    save_problem(tmp_path, SensingProblem(build_matrix(pts, 1), y, 0.0, pts, 1))
+    assert (tmp_path / "points.csv").read_bytes() == (
+        b"theta,phi,chi,measure\n"
+        b"0.10000000000000001,0,1.0000000000000001e-17,product\n"
+        b"1.5707963267948966,0.66666666666666663,5,product\n"
+        b"3,6.25,3.1415926535897931,product\n")
+    assert (tmp_path / "y.csv").read_bytes() == (
+        b"re,im\n"
+        b"0.33333333333333331,-2\n"
+        b"-0,0.10000000000000001\n"
+        b"1.0000000000000001e+300,-1e-300\n")
+    assert (tmp_path / "meta.json").read_bytes() == (
+        b'{\n  "B": 1,\n  "epsilon": 0.0,\n  "m": 3,\n  "measure": "product"\n}\n')
+    loaded = load_problem(tmp_path)
+    np.testing.assert_array_equal(loaded.y.view(float), y.view(float))
+    assert np.signbit(loaded.y[1].real)
+    np.testing.assert_array_equal(loaded.samples.chi, pts.chi)
+
+
 def test_precondition_leaves_inputs_unchanged():
     rng = np.random.default_rng(8)
     pts = _points(rng, 6, sampling.TAN13)
