@@ -150,8 +150,7 @@ def _cmd_recover(ns) -> None:
                                   problem.epsilon)
     radius = (system.radius if ns.radius is None
               else ns.radius * system.scale * math.sqrt(len(problem.y)))
-    cfg = solver.SolverConfig(max_iterations=ns.max_iter,
-                              primal_tolerance=ns.tol, dual_tolerance=ns.tol)
+    cfg = solver.SolverConfig(max_iterations=ns.max_iter, tolerance=ns.tol)
     result = solver.bpdn_ball(system.A, system.y, radius, cfg)
     if result.status == solver.INFEASIBLE:
         raise NumericalError("constraint set is empty (solver reported Infeasible)")
@@ -297,7 +296,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--radius", type=float, default=None,
                    help="per-entry noise bound; default: the stored epsilon")
     p.add_argument("--max-iter", type=int, default=50_000)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="solver tolerance (SolverConfig.tolerance)")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_recover, outputs=("x.csv", "solve_report.json"))
 

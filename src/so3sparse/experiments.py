@@ -51,9 +51,7 @@ class TrialConfig:
     noise_epsilon: float = 0.0
     nonzero_model: str = REAL_GAUSSIAN
     solver: SolverConfig = field(
-        default_factory=lambda: SolverConfig(
-            max_iterations=20_000, primal_tolerance=5e-7, dual_tolerance=5e-7
-        )
+        default_factory=lambda: SolverConfig(max_iterations=20_000, tolerance=5e-7)
     )
 
     def __post_init__(self):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,21 +175,31 @@ def save_problem(directory, problem: SensingProblem) -> None:
         fh.write("\n")
 
 
+def _load_rows(directory, name: str, dtype=float) -> np.ndarray:
+    """The rows below the header of a problem CSV, as a 2-D array; a file
+    with no rows is a ValueError in place of numpy's warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(os.path.join(directory, name), dtype=dtype, delimiter=",",
+                          skiprows=1, ndmin=2)
+    if not rows.size:
+        raise ValueError(f"{name} holds no rows below its header")
+    return rows
+
+
 def load_problem(directory) -> SensingProblem:
-    """Read a problem written by save_problem. A row numpy cannot parse, a
-    points.csv that mixes measures or names an unknown one, or a y.csv whose
-    row count differs from points.csv or from meta.json's m, is rejected
-    with ValueError."""
+    """Read a problem written by save_problem. A points.csv or y.csv with no
+    rows or a row numpy cannot parse, a points.csv that mixes measures or
+    names an unknown one, or a y.csv whose row count differs from
+    points.csv or from meta.json's m, is rejected with ValueError."""
     with open(os.path.join(directory, "meta.json")) as fh:
         meta = json.load(fh)
-    theta, phi, chi, measure = np.loadtxt(os.path.join(directory, "points.csv"), dtype=str,
-                                          delimiter=",", skiprows=1, ndmin=2, unpack=True)
+    theta, phi, chi, measure = _load_rows(directory, "points.csv", dtype=str).T
     measures = set(measure.tolist())
     if len(measures) != 1:
         raise ValueError(f"points.csv must hold one measure, found {sorted(measures)}")
     # each (re, im) row of float64 pairs is one complex128
-    y = np.loadtxt(os.path.join(directory, "y.csv"), delimiter=",", skiprows=1,
-                   ndmin=2).view(complex)[:, 0]
+    y = _load_rows(directory, "y.csv").view(complex)[:, 0]
     if not len(y) == len(theta) == meta["m"]:
         raise ValueError(
             f"y.csv has {len(y)} rows and points.csv {len(theta)}, "

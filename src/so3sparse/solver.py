@@ -1,7 +1,7 @@
-"""Complex l1 recovery by one ADMM loop, with a dual-certificate check.
+"""Complex l1 recovery by one ADMM loop.
 
-`bpdn_ball` solves min sum|x_j| subject to ||A x - y||_2 <= radius, and
-`basis_pursuit` is its radius-0 case, A x = y. The splitting is x = z
+`bpdn_ball` solves min sum|x_j| subject to ||A x - y||_2 <= radius; basis
+pursuit, A x = y, is its radius-0 case. The splitting is x = z
 (Boyd et al. 2011, section 6.2): x is the exact projection of z - u onto
 the data ball {x : ||A x - y|| <= radius} and z is updated by complex soft
 thresholding, so x - z is the only primal residual and an iteration costs
@@ -47,16 +47,14 @@ phases sigma on S, x_S = R^-1 (Q* y - t v), v = R^-* sigma and
 t = sqrt(radius^2 - d^2)/||v||, has a residual e with ||e|| = radius and
 A_S* e = t sigma. sigma starts at the phases of z and takes those of x_S
 while the duality gap against the dual point e/||A* e||_inf falls; the
-lowest gap must be within the dual tolerance.
+lowest gap must be within the tolerance.
 
-The dual residual and its tolerance are only evaluated when the primal
-test passes, on a rebalance iteration or on the last allowed one, the
-only places they are read; the iterates do not change.
-
-`check_optimality` builds its KKT certificate itself: at radius 0 a dual
-vector u that matches the signs of x on the support, chosen to minimize the
-off-support sup-norm of A* u by a short ADMM over the null space of the
-support equalities; at a positive radius the same closed-form duality gap.
+One tolerance tol sets the primal slack radius + tol (1 + ||y||), both
+residual tests (sqrt(N) tol plus tol times the size of the iterates) and
+the bound on the polish's gap. The dual residual and its test are only
+evaluated when the primal test passes, on a rebalance iteration or on the
+last allowed one, the only places they are read; the iterates do not
+change.
 
 The l1 objective is the sum of complex moduli throughout.
 """
@@ -68,15 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SolverConfig",
-    "SolverResult",
-    "OptimalityReport",
-    "soft_threshold",
-    "basis_pursuit",
-    "bpdn_ball",
-    "check_optimality",
-]
+__all__ = ["SolverConfig", "SolverResult", "bpdn_ball"]
 
 CONVERGED = "Converged"
 MAX_ITER = "MaxIter"
@@ -86,21 +76,18 @@ _PENALTY = 16.0          # initial ADMM penalty rho, rebalanced as the loop runs
 _OVER_RELAXATION = 1.6
 _SECULAR_STEPS = 50      # cap on the Newton steps of one ball projection
 _SECULAR_TOLERANCE = 1e-9
-_CERTIFICATE_ITERATIONS = 500
-_CERTIFICATE_PENALTY = 1.0
 
 
 @dataclass
 class SolverConfig:
     max_iterations: int = 50_000
-    primal_tolerance: float = 1e-8
-    dual_tolerance: float = 1e-8
+    tolerance: float = 1e-8    # of the primal and dual residual tests and the polish gap
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.primal_tolerance <= 0 or self.dual_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
 
 
 @dataclass
@@ -119,29 +106,16 @@ class SolverResult:
         return float(np.sum(np.abs(self.x)))
 
 
-def soft_threshold(z, tau: float):
-    """Proximal map of tau * |.| for complex z: shrink the modulus by tau."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    out = _shrink(np.asarray(z, dtype=complex), tau)
-    return out if out.ndim else complex(out)
-
-
 def _shrink(z: np.ndarray, tau: float) -> np.ndarray:
-    """`soft_threshold` without its checks, for the ADMM loop: 1 - tau/max(|z|, tau)
-    is 1 - tau/|z| above the threshold and exactly 0 at or below it; with
-    tau = 0 the floor 1 keeps 0/0 out."""
+    """Complex soft thresholding, the proximal map of tau * |.| for tau >= 0:
+    1 - tau/max(|z|, tau) is 1 - tau/|z| above the threshold and exactly 0 at
+    or below it; with tau = 0 the floor 1 keeps 0/0 out."""
     return z * (1.0 - tau / np.maximum(np.abs(z), tau if tau > 0 else 1.0))
 
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a complex vector, without np.linalg.norm's overhead."""
     return math.sqrt(np.vdot(v, v).real)
-
-
-def basis_pursuit(A: np.ndarray, y: np.ndarray, cfg: SolverConfig | None = None) -> SolverResult:
-    """min sum|x_j| subject to A x = y (complex): `bpdn_ball` at radius 0."""
-    return bpdn_ball(A, y, 0.0, cfg)
 
 
 class _DataBall:
@@ -283,7 +257,8 @@ def bpdn_ball(
     if y_norm <= radius:
         return SolverResult(x=np.zeros(N, dtype=complex))
 
-    slack = radius + cfg.primal_tolerance * (1.0 + y_norm)
+    tol = cfg.tolerance
+    slack = radius + tol * (1.0 + y_norm)
     ball = _DataBall(A, y, radius)
     if ball.distance > slack:
         # confirm on an SVD basis, cut on sigma as lstsq does
@@ -295,10 +270,9 @@ def bpdn_ball(
         return SolverResult(x=ball.point, primal_residual=ball.distance)
 
     rho, rebalances, alpha = _PENALTY, 0, _OVER_RELAXATION
-    # absolute parts of the stopping tolerances; the relative parts scale
-    # with the current iterates
-    abs_pri = math.sqrt(N) * cfg.primal_tolerance
-    abs_dua = math.sqrt(N) * cfg.dual_tolerance
+    # absolute part of the stopping tests; the relative parts scale with
+    # the current iterates
+    abs_tol = math.sqrt(N) * tol
     z = np.zeros(N, dtype=complex)
     u = np.zeros(N, dtype=complex)
     for it in range(1, cfg.max_iterations + 1):
@@ -310,18 +284,17 @@ def bpdn_ball(
         z = _shrink(v, 1.0 / rho)
         u = v - z
         r_norm = _norm(x - z)
-        primal_ok = r_norm < abs_pri + cfg.primal_tolerance * max(_norm(x), _norm(z))
+        primal_ok = r_norm < abs_tol + tol * max(_norm(x), _norm(z))
         rebalance = it % 10 == 0
         if not (primal_ok or rebalance or it == cfg.max_iterations):
             continue    # the dual residual would not be read
         s_norm = rho * _norm(z - z_old)
-        if primal_ok and s_norm < abs_dua + cfg.dual_tolerance * rho * _norm(u):
+        if primal_ok and s_norm < abs_tol + tol * rho * _norm(u):
             return SolverResult(x=z, iterations=it, primal_residual=r_norm,
                                 dual_residual=s_norm, status=CONVERGED, penalty=rho,
                                 rebalances=rebalances)
         # x - q = -W* g c, so rho (x - q) lies in range(A*)
-        polished = rebalance and _polish(A, y, z, rho * (x - q), radius, slack,
-                                         cfg.dual_tolerance)
+        polished = rebalance and _polish(A, y, z, rho * (x - q), radius, slack, tol)
         if polished:
             return SolverResult(x=polished[0], iterations=it, primal_residual=polished[1],
                                 penalty=rho, rebalances=rebalances)
@@ -335,87 +308,3 @@ def bpdn_ball(
     return SolverResult(x=z, iterations=cfg.max_iterations, primal_residual=r_norm,
                         dual_residual=s_norm, status=MAX_ITER, penalty=rho,
                         rebalances=rebalances)
-
-
-def _project_l1_ball(t: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of a complex vector onto {p : sum|p_j| <= radius}:
-    soft thresholding at the level that brings the l1 norm down to radius."""
-    mag = np.abs(t)
-    if mag.sum() <= radius:
-        return t.copy()
-    desc = np.sort(mag)[::-1]
-    levels = (np.cumsum(desc) - radius) / np.arange(1, len(desc) + 1)
-    # the threshold belongs to the last sorted modulus that stays above it
-    return soft_threshold(t, levels[np.nonzero(desc > levels)[0][-1]])
-
-
-@dataclass
-class OptimalityReport:
-    feasibility_gap: float    # max(||Ax - y|| - radius, 0)
-    dual_violation: float     # fit + inf-norm excess of A* u; at radius > 0 the gap
-
-
-def check_optimality(
-    A: np.ndarray, y: np.ndarray, x: np.ndarray, radius: float = 0.0,
-    support_tol: float = 1e-5,
-) -> OptimalityReport:
-    """KKT check: search for a dual vector u with (A* u)_j = x_j/|x_j| on
-    the support S and ||A* u||_inf <= 1; the violation is how badly the best
-    candidate found misses. At a positive radius it is instead the relative
-    duality gap of x against the dual point of its own residual, closed form.
-
-    One SVD of A_S* gives the least-norm fit u0 of the support equalities
-    and an orthonormal basis Z of their null space, so every u = u0 + Z w
-    meets them. The search minimizes ||c + M w||_inf with c = A_Sc* u0 and
-    M = A_Sc* Z by a fixed number of ADMM steps on the split v = c + M w:
-    the w-update is one cached least-squares solve, and the prox of
-    ||.||_inf / rho is t minus the projection of t onto the l1 ball of
-    radius 1/rho (Moreau). Each iterate is a complete candidate u, so the
-    best one seen is kept; the violation is evaluated on it directly and is
-    therefore attained, not estimated. The search is skipped when u0
-    already has sup-norm <= 1 off the support, and it stops at the first
-    candidate that does: the violation is then the support fit either way.
-    """
-    A = np.asarray(A, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    e = y - A @ x
-    feas = max(float(np.linalg.norm(e)) - radius, 0.0)
-    mag = np.abs(x)
-    support = mag > support_tol * max(mag.max(), 1e-300)
-    if not support.any():
-        return OptimalityReport(feasibility_gap=feas, dual_violation=0.0)
-    if radius > 0.0:
-        return OptimalityReport(feasibility_gap=feas,
-                                dual_violation=_duality_gap(A, y, radius, float(mag.sum()), e))
-    signs = x[support] / mag[support]
-    AsH = A[:, support].conj().T
-    U, sv, Vh = np.linalg.svd(AsH)
-    rank = int(np.sum(sv > sv[0] * max(AsH.shape) * np.finfo(float).eps))
-    u = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ signs) / sv[:rank])
-    Z = Vh[rank:].conj().T
-    AoH = A[:, ~support].conj().T
-    c = AoH @ u
-    best = float(np.max(np.abs(c), initial=0.0))
-    if Z.size and best > 1.0:
-        M = AoH @ Z
-        M_pinv = np.linalg.pinv(M)
-        v = c
-        lam = np.zeros_like(c)
-        best_w = np.zeros(Z.shape[1], dtype=complex)
-        for _ in range(_CERTIFICATE_ITERATIONS):
-            w = M_pinv @ (v - c - lam)
-            off = c + M @ w
-            sup = float(np.max(np.abs(off)))
-            if sup < best:
-                best_w, best = w, sup
-                if best <= 1.0:
-                    break
-            t = off + lam
-            lam = _project_l1_ball(t, 1.0 / _CERTIFICATE_PENALTY)
-            v = t - lam
-        u = u + Z @ best_w
-    corr = A.conj().T @ u
-    fit = float(np.max(np.abs(corr[support] - signs)))
-    violation = max(fit, max(float(np.max(np.abs(corr))) - 1.0, 0.0))
-    return OptimalityReport(feasibility_gap=feas, dual_violation=violation)

@@ -16,6 +16,7 @@ import pytest
 from scipy.special import lpmv, sph_harm_y
 
 from so3sparse import cli, experiments, nearfield, sampling, sensing, solver, wigner
+from solver_reference import check_optimality
 
 GRID_M = [20, 40, 80, 165]
 GRID_S = [2, 4, 8]
@@ -87,17 +88,17 @@ def test_04_preconditioned_sup_growth_exponent():
 
 def test_05_planted_gaussian_recovery_with_certificates():
     N, m, s, trials = 100, 40, 5, 50
-    tight = solver.SolverConfig(primal_tolerance=1e-10, dual_tolerance=1e-10)
+    tight = solver.SolverConfig(tolerance=1e-10)
     successes, worst_kkt = 0, 0.0
     for i in range(trials):
         rng = np.random.default_rng(5000 + i)
         A = (rng.standard_normal((m, N)) + 1j * rng.standard_normal((m, N)))
         A /= math.sqrt(2 * m)
         x = experiments.gen_sparse(N, s, experiments.COMPLEX_GAUSSIAN, rng)
-        res = solver.basis_pursuit(A, A @ x, tight)
+        res = solver.bpdn_ball(A, A @ x, 0.0, tight)
         if np.linalg.norm(res.x - x) / np.linalg.norm(x) <= 1e-5:
             successes += 1
-            rep = solver.check_optimality(A, A @ x, res.x)
+            rep = check_optimality(A, A @ x, res.x)
             worst_kkt = max(worst_kkt, rep.dual_violation)
     ok = successes >= 48 and worst_kkt < 1e-5
     assert _report("planted recovery + certificates", ok,
@@ -171,8 +172,7 @@ def test_07_noise_scaling_is_linear_in_epsilon():
         cfg = experiments.TrialConfig(
             B=5, m=120, s=5, trials=5, base_seed=700, noise_epsilon=eps,
             nonzero_model=experiments.COMPLEX_GAUSSIAN,
-            solver=solver.SolverConfig(primal_tolerance=1e-9,
-                                       dual_tolerance=1e-9),
+            solver=solver.SolverConfig(tolerance=1e-9),
         )
         errs.append(np.mean([experiments.run_trial(cfg, t)[1]
                              for t in range(cfg.trials)]))
@@ -186,7 +186,7 @@ def test_07_noise_scaling_is_linear_in_epsilon():
 def test_08_nearfield_l1_vs_least_squares_separation():
     B, s, m = 5, 8, 120
     errs_l1, errs_ls = [], []
-    tight = solver.SolverConfig(primal_tolerance=1e-9, dual_tolerance=1e-9)
+    tight = solver.SolverConfig(tolerance=1e-9)
     for seed in range(20):
         rng = np.random.default_rng(8000 + seed)
         sched = nearfield.make_schedule(rng, m)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -149,15 +150,20 @@ def test_recover_round_trip(tmp_path, capsys):
     ("points.csv", lambda text: text.split("\n", 1)[0] + "\n"),          # header only
     ("points.csv", lambda text: text.replace(",product\n", "\n", 1)),     # three fields
     ("y.csv", lambda text: "re,im\nabc,0\n" + text.split("\n", 2)[2]),   # not a number
+    pytest.param("y.csv", lambda text: "re,im\n", id="y.csv-header-only"),
 ])
 def test_recover_rejects_malformed_problem_files(name, edit, tmp_path, capsys):
     pdir, out = tmp_path / "problem", tmp_path / "solve"
     _save_problem(pdir)
     (pdir / name).write_text(edit((pdir / name).read_text()))
-    assert cli.run(["recover", "--problem-dir", str(pdir), "--output-dir", str(out)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(["recover", "--problem-dir", str(pdir), "--output-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error: config: cannot load problem" in err and "Traceback" not in err
     assert not out.exists()
+    if (pdir / name).read_text().count("\n") == 1:    # header only: the message names the file
+        assert f"{name} holds no rows" in err
 
 
 def test_recover_polished_solve_is_exactly_sparse(tmp_path):

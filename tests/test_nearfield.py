@@ -24,7 +24,7 @@ from so3sparse.solver import SolverConfig
 from so3sparse.wigner import _SLICE, WignerIndex
 from wigner_reference import wigner_D
 
-TIGHT = SolverConfig(primal_tolerance=1e-9, dual_tolerance=1e-9)
+TIGHT = SolverConfig(tolerance=1e-9)
 WEIGHTS = default_probe_weights()
 
 
