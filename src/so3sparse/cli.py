@@ -276,8 +276,11 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_gram)
 
     p = sub.add_parser("bound-scan", help="sup-norm scan of preconditioned basis")
-    p.add_argument("--B-list", default="4,8,16,32")
-    p.add_argument("--grid", type=int, default=4096)
+    p.add_argument("--B-list", default="4,8,16,32",
+                   help="comma-separated distinct bandwidths, one bounds.csv row each")
+    p.add_argument("--grid", type=int, default=4096,
+                   help="coarse theta points (>= 3) the sup is exact on; "
+                        "bounds.csv does not depend on the lane pruning")
     p.add_argument("--output-dir", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_bound_scan, outputs=("bounds.csv",))

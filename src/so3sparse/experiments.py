@@ -181,6 +181,25 @@ def contour_half_success(grid: PhaseTransitionGrid) -> list[float]:
     return out
 
 
+def _lane_peaks(k, n, grid, l_max: int):
+    """Per degree l, each lane's peak of (sin theta)^{1/2} |d_l^{k,n}| on grid
+    and its first index, for the lanes of `_wigner_d_lanes` defined at l."""
+    weight = np.sqrt(np.sin(grid))
+    sizes = np.searchsorted(np.maximum(np.abs(k), np.abs(n)), np.arange(l_max + 1), "right")
+    best = [np.zeros(c, dtype=int) for c in sizes]
+    peak = [np.full(c, -1.0) for c in sizes]
+    for s in range(0, len(grid), _SLICE):
+        for l, d in _wigner_d_lanes(k, n, grid[s:s + _SLICE], l_max):
+            f = np.abs(d)
+            f *= weight[s:s + _SLICE]
+            i = f.argmax(axis=1)
+            v = f[np.arange(len(i)), i]
+            up = v > peak[l]       # ties keep the earlier point, as argmax does
+            best[l][up] = s + i[up]
+            peak[l][up] = v[up]
+    return best, peak
+
+
 def _degree_sups(l_max: int, coarse: int) -> np.ndarray:
     """Per degree l <= l_max, the sup over (k, n) and theta of
     (sin theta)^{1/2} |d_l^{k,n}|.
@@ -193,32 +212,34 @@ def _degree_sups(l_max: int, coarse: int) -> np.ndarray:
     a trig polynomial of degree l, F = sin theta * d^2 has degree 2l + 1 and
     |F| on (pi, 2 pi) mirrors F on [0, pi]; Bernstein's inequality twice
     gives |F''| <= (2l+1)^2 max F, and F peaks within h/2 of a grid point, so
-    a lane's coarse peak^2 is at least (1 - (2l+1)^2 h^2 / 8) of its sup^2.
-    Lanes below that factor of their degree's best peak^2 cannot hold the
+    a lane's coarse peak^2 is at least f_c(l) = 1 - (2l+1)^2 h^2 / 8 of its
+    sup^2. Lanes below f_c of their degree's best peak^2 cannot hold the
     sup; the other (degree, lane) rows of all degrees are refined twice on
     65 points spanning the neighbours of their best point, one
     _wigner_d_lanes pass per stage, each row read at its own degree.
+
+    A pre-grid of P = 4(2 l_max + 1) + 1 points, where f_p(l) >= 1 - pi^2/128,
+    runs first when P < coarse: row (l, j) is live if p_j^2 / f_p(l) >=
+    f_c(l)^2 max_j p_j^2, p_j its pre-grid peak, and only lanes with a live
+    row scan the coarse grid. A kept row has sup_j^2 >= f_c^2 S^2 >=
+    f_c^2 max p^2 (S the degree's sup), so it is live, and each lane's
+    recurrence is elementwise: kept rows, best points and sups are unchanged.
     """
     if coarse < 3:
         raise ValueError(f"coarse grid needs >= 3 points, got {coarse}")
     degrees = np.arange(l_max + 1)
     k, n = np.tril_indices(l_max + 1)   # n = 0..k per k, sorted by l0 = k
     grid = np.linspace(0.0, math.pi, coarse)
-    weight = np.sqrt(np.sin(grid))
-    best = [np.zeros((l + 1) * (l + 2) // 2, dtype=int) for l in degrees]
-    peak = [np.full((l + 1) * (l + 2) // 2, -1.0) for l in degrees]
-    for s in range(0, coarse, _SLICE):
-        for l, d in _wigner_d_lanes(k, n, grid[s:s + _SLICE], l_max):
-            f = np.abs(d)
-            f *= weight[s:s + _SLICE]
-            i = f.argmax(axis=1)
-            v = f[np.arange(len(i)), i]
-            up = v > peak[l]       # ties keep the earlier point, as argmax does
-            best[l][up] = s + i[up]
-            peak[l][up] = v[up]
-    sups = np.array([p.max() for p in peak])
     factor = 1 - ((2 * degrees + 1) * math.pi / (coarse - 1)) ** 2 / 8
-    kept = sorted((k[j], l, j, best[l][j]) for l in degrees   # by l0 = k
+    live, pre = np.arange(len(k)), 4 * (2 * l_max + 1) + 1
+    if pre < coarse:
+        _, p = _lane_peaks(k, n, np.linspace(0.0, math.pi, pre), l_max)
+        f_pre = 1 - ((2 * degrees + 1) * math.pi / (pre - 1)) ** 2 / 8
+        live = np.unique(np.concatenate([np.flatnonzero(q ** 2 / f >= c ** 2 * q.max() ** 2)
+                                         for q, f, c in zip(p, f_pre, factor)]))
+    best, peak = _lane_peaks(k[live], n[live], grid, l_max)
+    sups = np.array([p.max() for p in peak])
+    kept = sorted((k[live[j]], l, live[j], best[l][j]) for l in degrees   # by l0 = k
                   for j in np.flatnonzero(peak[l] ** 2 >= sups[l] ** 2 * factor[l]))
     _, deg, lane, start = np.array(kept).T
     for c in range(0, len(kept), len(k)):   # arrays no larger than the coarse scan's

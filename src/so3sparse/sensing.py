@@ -20,7 +20,7 @@ import numpy as np
 
 from . import sampling
 from .sampling import Samples, measure_mass, preconditioner_weight
-from .wigner import all_indices, evaluate_basis
+from .wigner import evaluate_basis
 
 __all__ = [
     "SensingProblem",
@@ -119,7 +119,8 @@ def _separable_gram(B: int, theta, w_theta, angle, w_angle) -> np.ndarray:
     S = E.conj().T @ (w_angle[:, None] * E)
     # S kron S holds S[k, k'] S[n, n'] at flat order pairs k (2B-1) + n, with
     # orders counted from 1 - B; c is that position for every column
-    c = np.array([(i.k + B - 1) * (2 * B - 1) + i.n + B - 1 for i in all_indices(B)])
+    pos = np.arange((2 * B - 1) ** 2).reshape(2 * B - 1, 2 * B - 1)
+    c = np.concatenate([pos[B - 1 - l:B + l, B - 1 - l:B + l].ravel() for l in range(B)])
     G = (D.T @ (w_theta[:, None] * D)) * np.kron(S, S)[np.ix_(c, c)]
     # G_ab and conj(G_ba) differ by roundoff; their mean is exactly Hermitian
     return 0.5 * (G + G.conj().T)
@@ -177,11 +178,15 @@ def save_problem(directory, problem: SensingProblem) -> None:
 
 def _load_rows(directory, name: str, dtype=float) -> np.ndarray:
     """The rows below the header of a problem CSV, as a 2-D array; a file
-    with no rows is a ValueError in place of numpy's warning."""
+    with no rows is a ValueError in place of numpy's warning, and a row numpy
+    cannot parse one that names the file."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        rows = np.loadtxt(os.path.join(directory, name), dtype=dtype, delimiter=",",
-                          skiprows=1, ndmin=2)
+        try:
+            rows = np.loadtxt(os.path.join(directory, name), dtype=dtype, delimiter=",",
+                              skiprows=1, ndmin=2)
+        except ValueError as exc:    # numpy's first clause, without its usecols advice
+            raise ValueError(f"{name}: {str(exc).split(';')[0]}") from None
     if not rows.size:
         raise ValueError(f"{name} holds no rows below its header")
     return rows

@@ -162,7 +162,8 @@ def test_recover_rejects_malformed_problem_files(name, edit, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: config: cannot load problem" in err and "Traceback" not in err
     assert not out.exists()
-    if (pdir / name).read_text().count("\n") == 1:    # header only: the message names the file
+    assert name in err.split(str(pdir))[-1] and "usecols" not in err
+    if (pdir / name).read_text().count("\n") == 1:    # header only
         assert f"{name} holds no rows" in err
 
 

@@ -183,12 +183,28 @@ def _degree_sups_every_lane(l_max, coarse):
     return sups
 
 
-@pytest.mark.parametrize("l_max, coarse", [(31, 4096), (10, 17), (8, 256), (6, 5), (5, 3)])
+@pytest.mark.parametrize("l_max, coarse", [(31, 4096), (10, 17), (8, 256), (6, 5), (5, 3),
+                                           (31, 253), (31, 254), (50, 2048)])
 def test_degree_sups_pruning_is_exact(l_max, coarse):
     # (6, 5) and (5, 3) hold degrees whose Bernstein factor is <= 0, where
-    # every lane is refined
+    # every lane is refined; at l_max = 31 the pre-grid has 253 points, so
+    # (31, 253) is one coarse pass and (31, 254) scans the pre-grid first
     np.testing.assert_array_equal(experiments._degree_sups(l_max, coarse),
                                   _degree_sups_every_lane(l_max, coarse))
+
+
+def test_degree_sups_scans_few_lanes_on_the_coarse_grid(monkeypatch):
+    # lanes x points over every _wigner_d_lanes call of the scan, against the
+    # lanes x points of one coarse pass over every lane
+    work = []
+
+    def counted(k, n, theta, l_max):
+        work.append(len(k) * np.shape(theta)[-1])
+        return _wigner_d_lanes(k, n, theta, l_max)
+
+    monkeypatch.setattr(experiments, "_wigner_d_lanes", counted)
+    experiments._degree_sups(31, 4096)
+    assert sum(work) < 32 * 33 // 2 * 4096 / 3
 
 
 @given(l=st.integers(0, 40), coarse=st.integers(3, 4096), data=st.data())
