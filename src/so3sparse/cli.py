@@ -86,10 +86,7 @@ def _cmd_eval(ns) -> None:
 
 def _cmd_gram(ns) -> None:
     measure = None if ns.measure == "raw" else ns.measure
-    G = sensing.gram_matrix(ns.B, measure)
-    off = G - np.diag(np.diag(G))
-    max_off = float(np.abs(off).max())
-    max_diag = float(np.abs(np.diag(G) - 1.0).max())
+    max_off, max_diag = sensing.gram_deviation(ns.B, measure)
     print(f"max_offdiag={max_off:.3e} max_diag_dev={max_diag:.3e}")
 
 
@@ -271,7 +268,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gram", help="quadrature Gram-matrix orthonormality check")
-    p.add_argument("--B", type=int, required=True)
+    p.add_argument("--B", type=int, required=True,
+                   help="bandwidth (>= 1): degrees l < B, N = B(2B-1)(2B+1)/3 functions")
     p.add_argument("--measure", choices=["raw", "product", "tan13"], default="raw")
     p.set_defaults(func=_cmd_gram)
 

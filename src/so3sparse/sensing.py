@@ -13,14 +13,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sampling
 from .sampling import Samples, measure_mass, preconditioner_weight
-from .wigner import evaluate_basis
+from .wigner import _SLICE, evaluate_basis
 
 __all__ = [
     "SensingProblem",
@@ -29,6 +28,7 @@ __all__ = [
     "add_noise",
     "precondition",
     "gram_matrix",
+    "gram_deviation",
     "save_problem",
     "load_problem",
 ]
@@ -91,6 +91,8 @@ def precondition(
 def _gram_quadrature(B: int, measure: str | None):
     """1-D rules of gram_matrix's tensor grid: theta nodes and weights, then
     the uniform angle nodes and weights that phi and chi share."""
+    if B < 1:
+        raise ValueError(f"bandwidth must be >= 1, got {B}")
     x, wx = np.polynomial.legendre.leggauss(B + 1)
     theta = np.arccos(x)
     if measure is None:
@@ -110,20 +112,59 @@ def _gram_quadrature(B: int, measure: str | None):
     return theta, w_theta, 2 * math.pi * np.arange(Q) / Q, np.full(Q, 2 * math.pi / Q)
 
 
-def _separable_gram(B: int, theta, w_theta, angle, w_angle) -> np.ndarray:
-    """Gram matrix of the bandwidth-B basis on the grid theta x angle x angle
-    (phi, then chi) with weights w_theta[i] w_angle[j] w_angle[q]."""
+def _gram_factors(B: int, theta, w_theta, angle, w_angle):
+    """Factors D, w_theta D, K and c of the Gram matrix of the bandwidth-B
+    basis on the grid theta x angle x angle (phi, then chi) with weights
+    w_theta[i] w_angle[j] w_angle[q]: G_ab = (D^T diag(w_theta) D)_ab K[c_a, c_b].
+
+    The sum over the tensor grid is evaluated by separation of variables.
+    The node weight depends on theta alone, and each
+    D_a = N_l e^{-jk phi} d_l^{k,n}(theta) e^{-jn chi} is a product of one
+    factor per angle, so the triple sum of conj(D_a) D_b factors into
+    G_ab = T_ab S[k_a, k_b] S[n_a, n_b] (Kostelec & Rockmore 2008, FFTs on
+    the Rotation Group). D is the real table N_l d_l^{k,n}(theta_i) from one
+    evaluate_basis call on the theta nodes and T = D^T diag(w_theta) D;
+    S = E^H diag(w_angle) E with E_jk = e^{-jk phi_j} is the rule's sum over
+    phi, and again over chi. K = S kron S holds S[k, k'] S[n, n'] at flat
+    order pairs k (2B-1) + n, orders counted from 1 - B, and c_a is column
+    a's position there. Every entry is that same weighted sum, computed from
+    the nodes and weights: orthogonality is checked, never assumed.
+
+    _separable_gram reads the full G from these factors; _gram_deviation
+    streams row blocks of |G| and holds no N x N array.
+    """
     zero = np.zeros_like(theta)
     D = evaluate_basis(B, theta, zero, zero).real      # N_l d_l^{k,n}(theta_i)
     E = np.exp(-1j * np.outer(angle, np.arange(1 - B, B)))
     S = E.conj().T @ (w_angle[:, None] * E)
-    # S kron S holds S[k, k'] S[n, n'] at flat order pairs k (2B-1) + n, with
-    # orders counted from 1 - B; c is that position for every column
     pos = np.arange((2 * B - 1) ** 2).reshape(2 * B - 1, 2 * B - 1)
     c = np.concatenate([pos[B - 1 - l:B + l, B - 1 - l:B + l].ravel() for l in range(B)])
-    G = (D.T @ (w_theta[:, None] * D)) * np.kron(S, S)[np.ix_(c, c)]
+    return D, w_theta[:, None] * D, np.kron(S, S), c
+
+
+def _separable_gram(B: int, theta, w_theta, angle, w_angle) -> np.ndarray:
+    """Gram matrix of the bandwidth-B basis on the grid theta x angle x angle
+    (phi, then chi) with weights w_theta[i] w_angle[j] w_angle[q]."""
+    D, wD, K, c = _gram_factors(B, theta, w_theta, angle, w_angle)
+    G = (D.T @ wD) * K[np.ix_(c, c)]
     # G_ab and conj(G_ba) differ by roundoff; their mean is exactly Hermitian
     return 0.5 * (G + G.conj().T)
+
+
+def _gram_deviation(B: int, theta, w_theta, angle, w_angle) -> tuple[float, float]:
+    """max |G_ab| over a != b and max |G_aa - 1| of the same G before its
+    Hermitian mean, from |G_ab| = |T_ab| |K[c_a, c_b]| one row block of T
+    and of the gathered |K| at a time: memory O(block N), not O(N^2)."""
+    D, wD, K, c = _gram_factors(B, theta, w_theta, angle, w_angle)
+    diag_dev = np.abs((D * wD).sum(axis=0) * K[c, c] - 1).max()
+    K, off, step = np.abs(K), 0.0, _SLICE // 4
+    for start in range(0, len(c), step):
+        rows = slice(start, start + step)
+        block = np.abs(D[:, rows].T @ wD)
+        block *= K[c[rows]].take(c, axis=1)
+        np.fill_diagonal(block[:, start:], 0.0)
+        off = max(off, block.max())
+    return float(off), float(diag_dev)
 
 
 def gram_matrix(B: int, measure: str | None = None) -> np.ndarray:
@@ -135,23 +176,17 @@ def gram_matrix(B: int, measure: str | None = None) -> np.ndarray:
     Gauss-Legendre with B+1 nodes in x = cos(theta) (integrands are
     polynomials of degree <= 2B-1 there once the sin(theta) weight from
     weight^2 * density is absorbed); phi and chi use uniform 4B-point
-    grids, exact for the trigonometric frequencies present.
-
-    The sum over the (B+1) x 4B x 4B tensor grid is evaluated by separation
-    of variables. The node weight depends on theta alone, and each
-    D_a = N_l e^{-jk phi} d_l^{k,n}(theta) e^{-jn chi} is a product of one
-    factor per angle, so the triple sum of conj(D_a) D_b factors into
-    G_ab = T_ab S[k_a, k_b] S[n_a, n_b] (Kostelec & Rockmore 2008, FFTs on
-    the Rotation Group). D is the real table N_l d_l^{k,n}(theta_i) from one
-    evaluate_basis call on the theta nodes and T = D^T diag(w_theta) D;
-    S = E^H diag(w) E with E_jk = e^{-jk phi_j} is the uniform rule's sum
-    over phi, and again over chi. Every entry is that same weighted sum,
-    computed from the nodes and weights: orthogonality is checked, never
-    assumed.
+    grids, exact for the trigonometric frequencies present. The sum over
+    the (B+1) x 4B x 4B grid is separated as in `_gram_factors`.
     """
-    if B < 1:
-        raise ValueError(f"bandwidth must be >= 1, got {B}")
     return _separable_gram(B, *_gram_quadrature(B, measure))
+
+
+def gram_deviation(B: int, measure: str | None = None) -> tuple[float, float]:
+    """(max_offdiag, max_diag_dev): the largest |G_ab| over a != b and the
+    largest |G_aa - 1| of gram_matrix(B, measure)'s sum, streamed over row
+    blocks of its factors so that no N x N array is allocated."""
+    return _gram_deviation(B, *_gram_quadrature(B, measure))
 
 
 def save_problem(directory, problem: SensingProblem) -> None:
@@ -176,35 +211,41 @@ def save_problem(directory, problem: SensingProblem) -> None:
         fh.write("\n")
 
 
-def _load_rows(directory, name: str, dtype=float) -> np.ndarray:
-    """The rows below the header of a problem CSV, as a 2-D array; a file
-    with no rows is a ValueError in place of numpy's warning, and a row numpy
-    cannot parse one that names the file."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            rows = np.loadtxt(os.path.join(directory, name), dtype=dtype, delimiter=",",
-                              skiprows=1, ndmin=2)
-        except ValueError as exc:    # numpy's first clause, without its usecols advice
-            raise ValueError(f"{name}: {str(exc).split(';')[0]}") from None
-    if not rows.size:
+def _load_rows(directory, name: str, kinds) -> list[list]:
+    """The lines below the header of a problem CSV, field i of each parsed by
+    kinds[i]. A file with no such line, or a line with another field count or
+    a field that does not parse, is a ValueError naming the file and the
+    line, counted from 1 with the header as line 1."""
+    with open(os.path.join(directory, name)) as fh:
+        lines = fh.read().splitlines()[1:]
+    if not lines:
         raise ValueError(f"{name} holds no rows below its header")
+    rows = []
+    for number, line in enumerate(lines, start=2):
+        fields = line.split(",")
+        try:
+            if len(fields) != len(kinds):
+                raise ValueError(f"{len(fields)} fields where {len(kinds)} are expected")
+            rows.append([kind(field) for kind, field in zip(kinds, fields)])
+        except ValueError as exc:
+            raise ValueError(f"{name} line {number}: {exc}") from None
     return rows
 
 
 def load_problem(directory) -> SensingProblem:
     """Read a problem written by save_problem. A points.csv or y.csv with no
-    rows or a row numpy cannot parse, a points.csv that mixes measures or
+    rows or a line that does not parse, a points.csv that mixes measures or
     names an unknown one, or a y.csv whose row count differs from
     points.csv or from meta.json's m, is rejected with ValueError."""
     with open(os.path.join(directory, "meta.json")) as fh:
         meta = json.load(fh)
-    theta, phi, chi, measure = _load_rows(directory, "points.csv", dtype=str).T
-    measures = set(measure.tolist())
+    points = _load_rows(directory, "points.csv", (float, float, float, str))
+    theta, phi, chi, measure = zip(*points)
+    measures = set(measure)
     if len(measures) != 1:
         raise ValueError(f"points.csv must hold one measure, found {sorted(measures)}")
     # each (re, im) row of float64 pairs is one complex128
-    y = _load_rows(directory, "y.csv").view(complex)[:, 0]
+    y = np.array(_load_rows(directory, "y.csv", (float, float))).view(complex)[:, 0]
     if not len(y) == len(theta) == meta["m"]:
         raise ValueError(
             f"y.csv has {len(y)} rows and points.csv {len(theta)}, "

@@ -148,14 +148,21 @@ def test_recover_round_trip(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, edit", [
     ("points.csv", lambda text: text.split("\n", 1)[0] + "\n"),          # header only
-    ("points.csv", lambda text: text.replace(",product\n", "\n", 1)),     # three fields
-    ("y.csv", lambda text: "re,im\nabc,0\n" + text.split("\n", 2)[2]),   # not a number
+    ("points.csv", lambda text: text.replace(",product\n", "\n", 1)),     # line 2: three fields
+    ("y.csv", lambda text: "re,im\nabc,0\n" + text.split("\n", 2)[2]),   # line 2: not a number
+    pytest.param("y.csv", lambda text: "\n".join("abc,0" if i == 3 else row
+                                                  for i, row in enumerate(text.split("\n"))),
+                 id="y.csv-line-4-not-a-number"),
     pytest.param("y.csv", lambda text: "re,im\n", id="y.csv-header-only"),
 ])
 def test_recover_rejects_malformed_problem_files(name, edit, tmp_path, capsys):
     pdir, out = tmp_path / "problem", tmp_path / "solve"
     _save_problem(pdir)
-    (pdir / name).write_text(edit((pdir / name).read_text()))
+    text = (pdir / name).read_text()
+    (pdir / name).write_text(edit(text))
+    # the line the edit changed, counted from 1 with the header as line 1
+    line = next((i for i, pair in enumerate(zip(text.splitlines(), edit(text).splitlines()), 1)
+                if pair[0] != pair[1]), None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.run(["recover", "--problem-dir", str(pdir), "--output-dir", str(out)]) == 1
@@ -165,6 +172,8 @@ def test_recover_rejects_malformed_problem_files(name, edit, tmp_path, capsys):
     assert name in err.split(str(pdir))[-1] and "usecols" not in err
     if (pdir / name).read_text().count("\n") == 1:    # header only
         assert f"{name} holds no rows" in err
+    else:
+        assert f"{name} line {line}: " in err
 
 
 def test_recover_polished_solve_is_exactly_sparse(tmp_path):

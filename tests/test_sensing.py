@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,16 +9,18 @@ from so3sparse import sampling
 from so3sparse.sampling import Samples, preconditioner_weight
 from so3sparse.sensing import (
     SensingProblem,
+    _gram_deviation,
     _gram_quadrature,
     _separable_gram,
     add_noise,
     build_matrix,
+    gram_deviation,
     gram_matrix,
     load_problem,
     precondition,
     save_problem,
 )
-from so3sparse.wigner import all_indices, basis_count, evaluate_basis
+from so3sparse.wigner import _SLICE, all_indices, basis_count, evaluate_basis
 from wigner_reference import wigner_D
 
 
@@ -245,23 +248,68 @@ def test_gram_matrix_matches_dense_reference(B, measure):
     np.testing.assert_array_equal(G, G.conj().T)
 
 
-@pytest.mark.parametrize("B", [2, 3, 4])
-def test_separable_gram_is_the_tensor_grid_sum(B):
-    # inexact rules: random theta nodes and weights, and Q < 2B-1 random
-    # angle nodes, so no orthogonality holds and the entries between
-    # different orders (k, n) are O(1); the factored product must still be
-    # the meshed grid's sum
+def _inexact_rule(B):
+    # random theta nodes and weights, and Q < 2B-1 random angle nodes, so no
+    # orthogonality holds and the entries between different orders (k, n)
+    # are O(1)
     rng = np.random.default_rng(800 + B)
     theta = rng.uniform(0.05, np.pi - 0.05, B + 2)
     angle = rng.uniform(0.0, 2 * np.pi, 2 * B - 2)
-    w_theta, w_angle = rng.uniform(0.5, 1.5, len(theta)), rng.uniform(0.5, 1.5, len(angle))
-    G = _separable_gram(B, theta, w_theta, angle, w_angle)
-    ref = _meshed_gram(B, theta, w_theta, angle, w_angle)
+    return theta, rng.uniform(0.5, 1.5, len(theta)), angle, rng.uniform(0.5, 1.5, len(angle))
+
+
+def _deviations(G):
+    # (max |G_ab| over a != b, max |G_aa - 1|), read off the full matrix
+    return np.abs(G - np.diag(np.diag(G))).max(), np.abs(np.diag(G) - 1).max()
+
+
+@pytest.mark.parametrize("B", [2, 3, 4])
+def test_separable_gram_is_the_tensor_grid_sum(B):
+    # on inexact rules the factored product must still be the meshed grid's sum
+    rule = _inexact_rule(B)
+    G = _separable_gram(B, *rule)
+    ref = _meshed_gram(B, *rule)
     idx = all_indices(B)
     other_orders = np.array([[(a.k, a.n) != (b.k, b.n) for b in idx] for a in idx])
     assert np.abs(ref[other_orders]).max() > 0.1 * np.abs(ref).max()
     np.testing.assert_allclose(G, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
     np.testing.assert_array_equal(G, G.conj().T)
+
+
+@pytest.mark.parametrize("B", [2, 3, 4, 5, 6])
+def test_gram_deviation_streams_the_tensor_grid_sum(B):
+    # the off-diagonal entries of inexact rules are O(1), so a wrong column
+    # group or block offset shows; N = 165 and 286 at B = 5 and 6 span two
+    # and three row blocks, the last one partial
+    rule = _inexact_rule(B)
+    if B >= 5:
+        assert basis_count(B) > _SLICE // 4 and basis_count(B) % (_SLICE // 4)
+    np.testing.assert_allclose(_gram_deviation(B, *rule), _deviations(_meshed_gram(B, *rule)),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("measure", [None, sampling.PRODUCT, sampling.TAN13])
+def test_gram_deviation_matches_gram_matrix(measure):
+    # one function has no off-diagonal entry
+    assert gram_deviation(1, measure)[0] == 0.0
+    # exact rules: every value is roundoff, read from the same sums
+    for B in range(2, 6):
+        for got, ref in zip(gram_deviation(B, measure), _deviations(gram_matrix(B, measure))):
+            assert ref / 2 <= got <= 2 * ref
+
+
+@pytest.mark.parametrize("measure", [None, sampling.PRODUCT, sampling.TAN13])
+def test_gram_deviation_allocates_no_n_by_n_array(measure):
+    # one N x N float64 array alone is N^2 8 bytes, 42 MB at B = 12 (N = 2300)
+    N = basis_count(12)
+    tracemalloc.start()
+    try:
+        off, diag = gram_deviation(12, measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * N * 16 / 4
+    assert off < 1e-8 and diag < 1e-8
 
 
 def _saved_problem(path, m=30):
