@@ -181,22 +181,23 @@ def contour_half_success(grid: PhaseTransitionGrid) -> list[float]:
     return out
 
 
-def _lane_peaks(k, n, grid, l_max: int):
+def _lane_peaks(k, n, grid, l_max: int, top=None):
     """Per degree l, each lane's peak of (sin theta)^{1/2} |d_l^{k,n}| on grid
-    and its first index, for the lanes of `_wigner_d_lanes` defined at l."""
+    and its first index, for the lanes of `_wigner_d_lanes` defined at l and
+    run to l by its top; a row above a lane's top keeps peak -1."""
     weight = np.sqrt(np.sin(grid))
     sizes = np.searchsorted(np.maximum(np.abs(k), np.abs(n)), np.arange(l_max + 1), "right")
     best = [np.zeros(c, dtype=int) for c in sizes]
     peak = [np.full(c, -1.0) for c in sizes]
     for s in range(0, len(grid), _SLICE):
-        for l, d in _wigner_d_lanes(k, n, grid[s:s + _SLICE], l_max):
-            f = np.abs(d)
-            f *= weight[s:s + _SLICE]
+        for l, d in _wigner_d_lanes(k, n, grid[s:s + _SLICE], l_max, top):
+            lo = 0 if top is None else np.searchsorted(top, l)
+            f = np.abs(d[lo:]) * weight[s:s + _SLICE]
             i = f.argmax(axis=1)
             v = f[np.arange(len(i)), i]
-            up = v > peak[l]       # ties keep the earlier point, as argmax does
-            best[l][up] = s + i[up]
-            peak[l][up] = v[up]
+            up = v > peak[l][lo:]   # ties keep the earlier point, as argmax does
+            best[l][lo:][up] = s + i[up]
+            peak[l][lo:][up] = v[up]
     return best, peak
 
 
@@ -218,40 +219,46 @@ def _degree_sups(l_max: int, coarse: int) -> np.ndarray:
     65 points spanning the neighbours of their best point, one
     _wigner_d_lanes pass per stage, each row read at its own degree.
 
-    A pre-grid of P = 4(2 l_max + 1) + 1 points, where f_p(l) >= 1 - pi^2/128,
-    runs first when P < coarse: row (l, j) is live if p_j^2 / f_p(l) >=
-    f_c(l)^2 max_j p_j^2, p_j its pre-grid peak, and only lanes with a live
-    row scan the coarse grid. A kept row has sup_j^2 >= f_c^2 S^2 >=
-    f_c^2 max p^2 (S the degree's sup), so it is live, and each lane's
-    recurrence is elementwise: kept rows, best points and sups are unchanged.
-    """
+    Pruning levels of P = 2(2 l_max + 1) + 1 and 4(2 l_max + 1) + 1 points,
+    where f_P(l) >= 1 - pi^2/32 > 0, run first when P < coarse, each on the
+    live lanes only: row (l, j) stays live if p_j >= 0 and p_j^2 / f_P(l) >=
+    f_c(l)^2 max_j p_j^2, p_j its peak at the level. Every peak is at most S,
+    the degree's sup, and a kept row has sup_j^2 >= f_c^2 S^2, so it stays
+    live; each lane's recurrence is elementwise, so kept rows, best points and
+    sups are unchanged. Every later pass runs a lane only to its top live
+    degree (the running max over the l0-sorted lanes, so tops are
+    nondecreasing); rows above keep peak -1, hence the guard peak >= 0."""
     if coarse < 3:
         raise ValueError(f"coarse grid needs >= 3 points, got {coarse}")
     degrees = np.arange(l_max + 1)
     k, n = np.tril_indices(l_max + 1)   # n = 0..k per k, sorted by l0 = k
     grid = np.linspace(0.0, math.pi, coarse)
     factor = 1 - ((2 * degrees + 1) * math.pi / (coarse - 1)) ** 2 / 8
-    live, pre = np.arange(len(k)), 4 * (2 * l_max + 1) + 1
-    if pre < coarse:
-        _, p = _lane_peaks(k, n, np.linspace(0.0, math.pi, pre), l_max)
-        f_pre = 1 - ((2 * degrees + 1) * math.pi / (pre - 1)) ** 2 / 8
-        live = np.unique(np.concatenate([np.flatnonzero(q ** 2 / f >= c ** 2 * q.max() ** 2)
-                                         for q, f, c in zip(p, f_pre, factor)]))
-    best, peak = _lane_peaks(k[live], n[live], grid, l_max)
+    live, top = np.arange(len(k)), None
+    for pre in (2 * (2 * l_max + 1) + 1, 4 * (2 * l_max + 1) + 1):
+        if pre < coarse:
+            _, p = _lane_peaks(k[live], n[live], np.linspace(0.0, math.pi, pre), l_max, top)
+            f_pre = 1 - ((2 * degrees + 1) * math.pi / (pre - 1)) ** 2 / 8
+            last = np.full(len(live), -1)
+            for l, (q, f, c) in enumerate(zip(p, f_pre, factor)):
+                last[:len(q)][(q >= 0) & (q ** 2 / f >= c ** 2 * q.max() ** 2)] = l
+            live, top = live[last >= 0], np.maximum.accumulate(last[last >= 0])
+    best, peak = _lane_peaks(k[live], n[live], grid, l_max, top)
     sups = np.array([p.max() for p in peak])
-    kept = sorted((k[live[j]], l, live[j], best[l][j]) for l in degrees   # by l0 = k
-                  for j in np.flatnonzero(peak[l] ** 2 >= sups[l] ** 2 * factor[l]))
+    kept = sorted((k[live[j]], l, live[j], best[l][j]) for l in degrees   # by (l0 = k, l)
+                  for j in np.flatnonzero((peak[l] >= 0)
+                                          & (peak[l] ** 2 >= sups[l] ** 2 * factor[l])))
     _, deg, lane, start = np.array(kept).T
     for c in range(0, len(kept), len(k)):   # arrays no larger than the coarse scan's
         r = slice(c, c + len(k))
         at = [np.flatnonzero(deg[r] == l) for l in degrees]
-        rows = np.arange(len(lane[r]))
+        rows, top = np.arange(len(lane[r])), np.maximum.accumulate(deg[r])
         g, i = np.broadcast_to(grid, (len(rows), coarse)), start[r]
         for _ in range(2):
             g = np.linspace(g[rows, np.maximum(i - 1, 0)],
                             g[rows, np.minimum(i + 1, g.shape[1] - 1)], 65, axis=1)
             f = np.empty(g.shape)
-            for l, d in _wigner_d_lanes(k[lane[r]], n[lane[r]], g, l_max):
+            for l, d in _wigner_d_lanes(k[lane[r]], n[lane[r]], g, l_max, top):
                 f[at[l]] = np.sqrt(np.sin(g[at[l]])) * np.abs(d[at[l]])
             i = f.argmax(axis=1)
             np.maximum.at(sups, deg[r], f[rows, i])

@@ -211,6 +211,18 @@ def save_problem(directory, problem: SensingProblem) -> None:
         fh.write("\n")
 
 
+def _finite(field: str) -> float:
+    if not math.isfinite(value := float(field)):
+        raise ValueError(f"{value} is not a finite number")
+    return value
+
+
+def _theta(field: str) -> float:
+    if not 0 <= (value := float(field)) <= math.pi:   # false for NaN too
+        raise ValueError(f"theta {value} outside [0, pi]")
+    return value
+
+
 def _load_rows(directory, name: str, kinds) -> list[list]:
     """The lines below the header of a problem CSV, field i of each parsed by
     kinds[i]. A file with no such line, or a line with another field count or
@@ -233,19 +245,19 @@ def _load_rows(directory, name: str, kinds) -> list[list]:
 
 
 def load_problem(directory) -> SensingProblem:
-    """Read a problem written by save_problem. A points.csv or y.csv with no
-    rows or a line that does not parse, a points.csv that mixes measures or
-    names an unknown one, or a y.csv whose row count differs from
-    points.csv or from meta.json's m, is rejected with ValueError."""
+    """Read a problem written by save_problem. ValueError for a points.csv or
+    y.csv with no rows or a line that does not parse, is not finite or has theta
+    outside [0, pi]; a points.csv that mixes or names an unknown measure; or a
+    y.csv whose row count differs from points.csv's or from meta.json's m."""
     with open(os.path.join(directory, "meta.json")) as fh:
         meta = json.load(fh)
-    points = _load_rows(directory, "points.csv", (float, float, float, str))
+    points = _load_rows(directory, "points.csv", (_theta, _finite, _finite, str))
     theta, phi, chi, measure = zip(*points)
     measures = set(measure)
     if len(measures) != 1:
         raise ValueError(f"points.csv must hold one measure, found {sorted(measures)}")
     # each (re, im) row of float64 pairs is one complex128
-    y = np.array(_load_rows(directory, "y.csv", (float, float))).view(complex)[:, 0]
+    y = np.array(_load_rows(directory, "y.csv", (_finite, _finite))).view(complex)[:, 0]
     if not len(y) == len(theta) == meta["m"]:
         raise ValueError(
             f"y.csv has {len(y)} rows and points.csv {len(theta)}, "

@@ -65,14 +65,18 @@ def all_indices(B: int) -> list[WignerIndex]:
     ]
 
 
+def _check_theta(theta) -> None:
+    if not np.all((theta >= 0) & (theta <= np.pi)):   # false for NaN too
+        raise ValueError("theta outside [0, pi]")
+
+
 def wigner_d(l: int, k: int, n: int, theta):
     """Wigner-d function d_l^{k,n}(cos theta), theta in [0, pi], in theta's
     shape: the last step of one lane of the degree recurrence."""
     if abs(k) > l or abs(n) > l or l < 0:
         raise ValueError(f"invalid index (l={l}, k={k}, n={n})")
     theta = np.asarray(theta, dtype=float)
-    if np.any((theta < 0) | (theta > np.pi)):
-        raise ValueError("theta outside [0, pi]")
+    _check_theta(theta)
     *_, (_, d) = _wigner_d_lanes([k], [n], theta.reshape(1, -1), l)
     return d[0].reshape(theta.shape)[()]
 
@@ -83,9 +87,7 @@ def _norm_factor(l: int) -> float:
 
 def wigner_D(l: int, k: int, n: int, theta, phi, chi):
     """Wigner-D function N_l e^{-jk phi} d_l^{k,n}(cos theta) e^{-jn chi}."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    chi = np.asarray(chi, dtype=float)
+    theta, phi, chi = (np.asarray(v, dtype=float) for v in (theta, phi, chi))
     return (
         _norm_factor(l)
         * np.exp(-1j * (k * phi + n * chi))
@@ -108,12 +110,14 @@ def spherical_harmonic(l: int, k: int, theta, phi):
 _SLICE = 512  # points per run of _wigner_d_lanes: keeps its working arrays small
 
 
-def _wigner_d_lanes(k, n, theta, l_max: int):
+def _wigner_d_lanes(k, n, theta, l_max: int, top=None):
     """Yield (l, d) for l = 0..l_max, where row i of d is d_l^{k_i, n_i}(theta)
-    for every lane i with max(|k_i|, |n_i|) <= l.
+    for every lane i with max(|k_i|, |n_i|) <= l <= top_i.
 
     Lanes must come sorted by l0 = max(|k|, |n|), so the lanes defined at
     degree l are the first rows; d is a view that the next step overwrites.
+    top (default l_max) is each lane's last degree, nondecreasing in lane order:
+    lanes from lo = searchsorted(top, l) on reach degree l, rows below lo are stale.
     theta is one grid shared by every lane, or one grid per lane (shape
     (lanes, points)). Each lane starts at its l0 from the closed form
 
@@ -128,40 +132,38 @@ def _wigner_d_lanes(k, n, theta, l_max: int):
         a_l = l (2l-1) / r_l,  c_l = l r_{l-1} / ((l-1) r_l),
         r_l = sqrt((l^2 - k^2)(l^2 - n^2)).
     """
-    k = np.asarray(k)
-    n = np.asarray(n)
-    theta = np.asarray(theta, dtype=float)
+    k, n, theta = np.asarray(k), np.asarray(n), np.asarray(theta, dtype=float)
     shape = (len(k), theta.shape[-1])
     x, half_sin, half_cos = (np.broadcast_to(v, shape) for v in
                              (np.cos(theta), np.sin(0.5 * theta), np.cos(0.5 * theta)))
     # lanes [starts[l], starts[l + 1]) have l0 = l
     starts = np.searchsorted(np.maximum(np.abs(k), np.abs(n)), np.arange(l_max + 2))
-    mu = np.abs(k - n)
-    lam = np.abs(k + n)
+    mu, lam = np.abs(k - n), np.abs(k + n)
     omega = np.where((n >= k) | ((n - k) % 2 == 0), 1.0, -1.0)
     seed_norm = omega * np.exp(
         0.5 * (gammaln(mu + lam + 1) - gammaln(mu + 1) - gammaln(lam + 1))
     )
     k2, n2, kn = k * k, n * n, k * n
+    top = np.full(len(k), l_max) if top is None else np.asarray(top)
     cur, prev, tmp = np.zeros(shape), np.zeros(shape), np.empty(shape)
     for l in range(l_max + 1):
-        a, hi = starts[l], starts[l + 1]
-        if a:
-            # advance lanes [0, a) from degree l - 1 to l; at l = 1 they all
+        lo, a, hi = np.searchsorted(top, l), starts[l], starts[l + 1]
+        if a > lo:
+            # advance lanes [lo, a) from degree l - 1 to l; at l = 1 they all
             # have k = n = 0 and c_l multiplies d_{-1} = 0
-            r = np.sqrt((l * l - k2[:a]) * (l * l - n2[:a]))
+            r = np.sqrt((l * l - k2[lo:a]) * (l * l - n2[lo:a]))
             scale = l * (2 * l - 1) / r
             if l > 1:
-                shift = kn[:a] / (l * (l - 1))
-                r_prev = np.sqrt(((l - 1) ** 2 - k2[:a]) * ((l - 1) ** 2 - n2[:a]))
+                shift = kn[lo:a] / (l * (l - 1))
+                r_prev = np.sqrt(((l - 1) ** 2 - k2[lo:a]) * ((l - 1) ** 2 - n2[lo:a]))
                 back = l * r_prev / ((l - 1) * r)
             else:
-                shift = back = np.zeros(a)
-            t = tmp[:a]
-            np.subtract(x[:a], shift[:, None], out=t)
-            t *= cur[:a]
+                shift = back = np.zeros(len(r))
+            t = tmp[lo:a]
+            np.subtract(x[lo:a], shift[:, None], out=t)
+            t *= cur[lo:a]
             t *= scale[:, None]
-            p = prev[:a]
+            p = prev[lo:a]
             p *= back[:, None]
             np.subtract(t, p, out=p)
             prev, cur = cur, prev
@@ -196,8 +198,7 @@ def evaluate_basis(B: int, theta, phi, chi) -> np.ndarray:
             "theta, phi, chi must be 1-D of equal length, got shapes "
             f"{theta.shape}, {phi.shape}, {chi.shape}"
         )
-    if np.any((theta < 0) | (theta > np.pi)):
-        raise ValueError("theta outside [0, pi]")
+    _check_theta(theta)
     npts = theta.shape[0]
     out = np.empty((npts, basis_count(B)), dtype=complex)
     L = B - 1

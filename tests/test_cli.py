@@ -146,6 +146,12 @@ def test_recover_round_trip(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
+def _first_field_on_line_3(text, value):
+    rows = text.split("\n")
+    rows[2] = ",".join([value] + rows[2].split(",")[1:])
+    return "\n".join(rows)
+
+
 @pytest.mark.parametrize("name, edit", [
     ("points.csv", lambda text: text.split("\n", 1)[0] + "\n"),          # header only
     ("points.csv", lambda text: text.replace(",product\n", "\n", 1)),     # line 2: three fields
@@ -154,6 +160,9 @@ def test_recover_round_trip(tmp_path, capsys):
                                                   for i, row in enumerate(text.split("\n"))),
                  id="y.csv-line-4-not-a-number"),
     pytest.param("y.csv", lambda text: "re,im\n", id="y.csv-header-only"),
+    pytest.param("points.csv", lambda text: _first_field_on_line_3(text, "nan"), id="theta-nan"),
+    pytest.param("points.csv", lambda text: _first_field_on_line_3(text, "4.5"), id="theta-4.5"),
+    pytest.param("y.csv", lambda text: _first_field_on_line_3(text, "inf"), id="y-inf"),
 ])
 def test_recover_rejects_malformed_problem_files(name, edit, tmp_path, capsys):
     pdir, out = tmp_path / "problem", tmp_path / "solve"
@@ -174,6 +183,9 @@ def test_recover_rejects_malformed_problem_files(name, edit, tmp_path, capsys):
         assert f"{name} holds no rows" in err
     else:
         assert f"{name} line {line}: " in err
+    assert err.count("error: config:") == 1
+    if name == "points.csv" and line == 3:   # a theta edit
+        assert "outside [0, pi]" in err
 
 
 def test_recover_polished_solve_is_exactly_sparse(tmp_path):

@@ -184,27 +184,34 @@ def _degree_sups_every_lane(l_max, coarse):
 
 
 @pytest.mark.parametrize("l_max, coarse", [(31, 4096), (10, 17), (8, 256), (6, 5), (5, 3),
-                                           (31, 253), (31, 254), (50, 2048)])
+                                           (31, 253), (31, 254), (50, 2048),
+                                           (31, 127), (31, 128), (63, 4096)])
 def test_degree_sups_pruning_is_exact(l_max, coarse):
     # (6, 5) and (5, 3) hold degrees whose Bernstein factor is <= 0, where
-    # every lane is refined; at l_max = 31 the pre-grid has 253 points, so
-    # (31, 253) is one coarse pass and (31, 254) scans the pre-grid first
+    # every lane is refined; at l_max = 31 the pruning levels have 127 and 253
+    # points, so (31, 127) is one coarse pass, (31, 128) runs the first level
+    # only, (31, 253) the first and (31, 254) both
     np.testing.assert_array_equal(experiments._degree_sups(l_max, coarse),
                                   _degree_sups_every_lane(l_max, coarse))
 
 
 def test_degree_sups_scans_few_lanes_on_the_coarse_grid(monkeypatch):
-    # lanes x points over every _wigner_d_lanes call of the scan, against the
-    # lanes x points of one coarse pass over every lane
+    # rows advanced or seeded x points over every degree of every
+    # _wigner_d_lanes call of the scan, against one coarse pass of every lane
+    # at every degree; each call's last degrees must be nondecreasing
     work = []
 
-    def counted(k, n, theta, l_max):
-        work.append(len(k) * np.shape(theta)[-1])
-        return _wigner_d_lanes(k, n, theta, l_max)
+    def counted(k, n, theta, l_max, top=None):
+        assert top is None or np.all(np.diff(top) >= 0)
+        for l, d in _wigner_d_lanes(k, n, theta, l_max, top):
+            lo = 0 if top is None else np.searchsorted(top, l)
+            work.append((len(d) - lo) * np.shape(theta)[-1])
+            yield l, d
 
     monkeypatch.setattr(experiments, "_wigner_d_lanes", counted)
     experiments._degree_sups(31, 4096)
-    assert sum(work) < 32 * 33 // 2 * 4096 / 3
+    rows = sum((l + 1) * (l + 2) // 2 for l in range(32))   # 5,984
+    assert sum(work) < rows * 4096 / 10
 
 
 @given(l=st.integers(0, 40), coarse=st.integers(3, 4096), data=st.data())

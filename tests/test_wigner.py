@@ -204,6 +204,14 @@ def test_evaluate_basis_rejects_theta_outside_range():
         evaluate_basis(2, [0.1, math.pi + 1e-9], [0.3, 0.3], [0.4, 0.4])
 
 
+def test_nan_theta_is_outside_range():
+    # NaN fails every comparison, so the range check must ask for membership
+    with pytest.raises(ValueError, match=r"theta outside \[0, pi\]"):
+        evaluate_basis(2, [0.1, math.nan], [0.3, 0.3], [0.4, 0.4])
+    with pytest.raises(ValueError, match=r"theta outside \[0, pi\]"):
+        wigner_d(1, 0, 0, [0.1, math.nan])
+
+
 @given(l=st.integers(0, 60), data=st.data())
 def test_recurrence_matches_jacobi(l, data):
     k = data.draw(st.integers(-l, l), label="k")
@@ -216,6 +224,35 @@ def test_recurrence_matches_jacobi(l, data):
     assert top == l
     np.testing.assert_allclose(d[0], reference_d(l, k, n, theta), rtol=0, atol=1e-12)
     np.testing.assert_allclose(d[1], reference_d(l, n, k, grids[1]), rtol=0, atol=1e-12)
+
+
+@given(l_max=st.integers(0, 12), data=st.data())
+def test_lanes_cut_at_their_last_degree_are_exact(l_max, data):
+    # with a nondecreasing last degree per lane, rows [lo, hi) of every degree
+    # are the uncut kernel's rows bit for bit, on a shared or per-lane grid
+    order = st.integers(-l_max, l_max)
+    pairs = data.draw(st.lists(st.tuples(order, order), min_size=1, max_size=12), label="lanes")
+    k, n = np.array(sorted(pairs, key=lambda kn: max(abs(kn[0]), abs(kn[1])))).T
+    top = np.sort(data.draw(st.lists(st.integers(0, l_max), min_size=len(k), max_size=len(k)),
+                            label="top"))
+    theta = np.array(data.draw(
+        st.lists(st.floats(0.0, math.pi), min_size=len(k), max_size=len(k)), label="theta"))
+    if data.draw(st.booleans(), label="grid per lane"):
+        theta = np.stack([np.roll(theta, i) for i in range(len(k))])
+    for (l, cut), (_, full) in zip(_wigner_d_lanes(k, n, theta, l_max, top),
+                                   _wigner_d_lanes(k, n, theta, l_max)):
+        lo = np.searchsorted(top, l)
+        assert len(cut) == len(full)
+        np.testing.assert_array_equal(cut[lo:], full[lo:])
+
+
+def test_lanes_past_their_last_degree_are_not_advanced():
+    # every lane ends at its first degree, so no recurrence step runs and each
+    # row keeps its seed d_{l0}^{k,n} at every later degree
+    theta = np.linspace(0.0, math.pi, 7)
+    seeds = [reference_d(0, 0, 0, theta), reference_d(1, 1, 0, theta)]
+    for l, d in _wigner_d_lanes([0, 1], [0, 0], theta, 5, top=[0, 1]):
+        np.testing.assert_allclose(d, seeds[:len(d)], rtol=0, atol=1e-12)
 
 
 @given(l=st.integers(0, 60), data=st.data())
