@@ -91,8 +91,9 @@ def _cmd_gram(ns) -> None:
 
 
 def _cmd_bound_scan(ns) -> None:
-    rows, slope = experiments.bound_scan([int(b) for b in ns.B_list.split(",")],
-                                         coarse=ns.grid)
+    if ns.grid < 3:
+        raise ConfigError(f"--grid needs >= 3 points, got {ns.grid}")
+    rows, slope = experiments.bound_scan([int(b) for b in ns.B_list.split(",")])
     _write(ns, "bounds.csv", "B,N,sup_preconditioned_D",
            (f"{B},{N},{FMT % sup}" for B, N, sup in rows))
     print(f"loglog_slope={slope:.6f}")
@@ -277,8 +278,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--B-list", default="4,8,16,32",
                    help="comma-separated distinct bandwidths, one bounds.csv row each")
     p.add_argument("--grid", type=int, default=4096,
-                   help="coarse theta points (>= 3) the sup is exact on; "
-                        "bounds.csv does not depend on the lane pruning")
+                   help="accepted (>= 3) for older command lines and manifests; "
+                        "unused, as the sups are exact in closed form")
     p.add_argument("--output-dir", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_bound_scan, outputs=("bounds.csv",))

@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import sampling
 from .sensing import add_noise, build_matrix, precondition
@@ -181,99 +182,85 @@ def contour_half_success(grid: PhaseTransitionGrid) -> list[float]:
     return out
 
 
-def _lane_peaks(k, n, grid, l_max: int, top=None):
-    """Per degree l, each lane's peak of (sin theta)^{1/2} |d_l^{k,n}| on grid
-    and its first index, for the lanes of `_wigner_d_lanes` defined at l and
-    run to l by its top; a row above a lane's top keeps peak -1."""
+def _lane_peaks(k, n, grid, l_max: int, top):
+    """Per degree l, each lane's peak of (sin theta)^{1/2} |d_l^{k,n}| on grid,
+    for the lanes of `_wigner_d_lanes` defined at l and run to l by its top.
+    A row above a lane's top keeps peak -1, whose square bounds every sup."""
     weight = np.sqrt(np.sin(grid))
     sizes = np.searchsorted(np.maximum(np.abs(k), np.abs(n)), np.arange(l_max + 1), "right")
-    best = [np.zeros(c, dtype=int) for c in sizes]
     peak = [np.full(c, -1.0) for c in sizes]
     for s in range(0, len(grid), _SLICE):
         for l, d in _wigner_d_lanes(k, n, grid[s:s + _SLICE], l_max, top):
-            lo = 0 if top is None else np.searchsorted(top, l)
+            lo = np.searchsorted(top, l)
             f = np.abs(d[lo:]) * weight[s:s + _SLICE]
-            i = f.argmax(axis=1)
-            v = f[np.arange(len(i)), i]
-            up = v > peak[l][lo:]   # ties keep the earlier point, as argmax does
-            best[l][lo:][up] = s + i[up]
-            peak[l][lo:][up] = v[up]
-    return best, peak
+            np.maximum(peak[l][lo:], f.max(axis=1), out=peak[l][lo:])
+    return peak
 
 
-def _degree_sups(l_max: int, coarse: int) -> np.ndarray:
-    """Per degree l <= l_max, the sup over (k, n) and theta of
-    (sin theta)^{1/2} |d_l^{k,n}|.
+def _first_degree_peaks(k, n):
+    """sup over theta of (sin theta)^{1/2} |d_k^{k,n}| for lanes k >= n >= 0
+    at their first degree l = k. With t = sin^2(theta/2), a = l + n and
+    b = l - n, the seed of `_wigner_d_lanes` gives sin theta * d^2 =
+    2 C(2l, a) t^{b+1/2} (1 - t)^{a+1/2}, which peaks at
+    t = (2b + 1) / (2 (2l + 1))."""
+    a, b = k + n, k - n
+    t = (2 * b + 1) / (2 * (2 * k + 1))
+    return np.exp(0.5 * (math.log(2) + gammaln(2 * k + 1) - gammaln(a + 1) - gammaln(b + 1)
+                         + (b + 0.5) * np.log(t) + (a + 0.5) * np.log1p(-t)))
+
+
+def _degree_sups(l_max: int) -> np.ndarray:
+    """Per degree l <= l_max, S_l = sup over (k, n) and theta of
+    (sin theta)^{1/2} |d_l^{k,n}|, in closed form and certified.
 
     |d_l^{k,n}| depends on (k, n) only through the class (|k - n|, |k + n|),
     which the lanes k >= |n| cover. The mirror (k, -n) swaps |k - n| and
     |k + n| and sends theta to pi - theta, where (sin theta)^{1/2} is the
-    same, so the lanes 0 <= n <= k carry every sup. Each is maximized on a
-    coarse theta grid of spacing h, _SLICE points at a time. As d_l^{k,n} is
-    a trig polynomial of degree l, F = sin theta * d^2 has degree 2l + 1 and
-    |F| on (pi, 2 pi) mirrors F on [0, pi]; Bernstein's inequality twice
-    gives |F''| <= (2l+1)^2 max F, and F peaks within h/2 of a grid point, so
-    a lane's coarse peak^2 is at least f_c(l) = 1 - (2l+1)^2 h^2 / 8 of its
-    sup^2. Lanes below f_c of their degree's best peak^2 cannot hold the
-    sup; the other (degree, lane) rows of all degrees are refined twice on
-    65 points spanning the neighbours of their best point, one
-    _wigner_d_lanes pass per stage, each row read at its own degree.
+    same, so the lanes 0 <= n <= k carry every sup. S_l is the largest
+    closed-form peak of the lanes whose first degree is l
+    (`_first_degree_peaks`); the rest proves that no row (l, j) above its
+    lane's first degree exceeds it.
 
-    Pruning levels of P = 2(2 l_max + 1) + 1 and 4(2 l_max + 1) + 1 points,
-    where f_P(l) >= 1 - pi^2/32 > 0, run first when P < coarse, each on the
-    live lanes only: row (l, j) stays live if p_j >= 0 and p_j^2 / f_P(l) >=
-    f_c(l)^2 max_j p_j^2, p_j its peak at the level. Every peak is at most S,
-    the degree's sup, and a kept row has sup_j^2 >= f_c^2 S^2, so it stays
-    live; each lane's recurrence is elementwise, so kept rows, best points and
-    sups are unchanged. Every later pass runs a lane only to its top live
-    degree (the running max over the l0-sorted lanes, so tops are
-    nondecreasing); rows above keep peak -1, hence the guard peak >= 0."""
-    if coarse < 3:
-        raise ValueError(f"coarse grid needs >= 3 points, got {coarse}")
+    As d_l^{k,n} is a trig polynomial of degree l, F = sin theta * d^2 has
+    degree 2l + 1 and |F| on (pi, 2 pi) mirrors F on [0, pi]; Bernstein's
+    inequality twice gives |F''| <= (2l+1)^2 max F, and F peaks within h/2 of
+    a point of a grid of spacing h, so a row's grid peak p^2 is at least
+    f_P(l) = 1 - (2l+1)^2 h^2 / 8 of its sup^2. Two levels of
+    P = 2(2 l_max + 1) + 1 and 4(2 l_max + 1) + 1 points, where
+    f_P(l) >= 1 - pi^2/32 > 0, each run the lanes with a live row, each lane
+    only to its last live degree (the running max over the l0-sorted lanes,
+    so tops are nondecreasing). A live row stays live only if
+    p^2 / f_P(l) >= S_l^2; a row no longer live has sup < S_l. Any row still
+    live after both levels is a RuntimeError: the sups are never returned
+    uncertified."""
     degrees = np.arange(l_max + 1)
     k, n = np.tril_indices(l_max + 1)   # n = 0..k per k, sorted by l0 = k
-    grid = np.linspace(0.0, math.pi, coarse)
-    factor = 1 - ((2 * degrees + 1) * math.pi / (coarse - 1)) ** 2 / 8
-    live, top = np.arange(len(k)), None
-    for pre in (2 * (2 * l_max + 1) + 1, 4 * (2 * l_max + 1) + 1):
-        if pre < coarse:
-            _, p = _lane_peaks(k[live], n[live], np.linspace(0.0, math.pi, pre), l_max, top)
-            f_pre = 1 - ((2 * degrees + 1) * math.pi / (pre - 1)) ** 2 / 8
-            last = np.full(len(live), -1)
-            for l, (q, f, c) in enumerate(zip(p, f_pre, factor)):
-                last[:len(q)][(q >= 0) & (q ** 2 / f >= c ** 2 * q.max() ** 2)] = l
-            live, top = live[last >= 0], np.maximum.accumulate(last[last >= 0])
-    best, peak = _lane_peaks(k[live], n[live], grid, l_max, top)
-    sups = np.array([p.max() for p in peak])
-    kept = sorted((k[live[j]], l, live[j], best[l][j]) for l in degrees   # by (l0 = k, l)
-                  for j in np.flatnonzero((peak[l] >= 0)
-                                          & (peak[l] ** 2 >= sups[l] ** 2 * factor[l])))
-    _, deg, lane, start = np.array(kept).T
-    for c in range(0, len(kept), len(k)):   # arrays no larger than the coarse scan's
-        r = slice(c, c + len(k))
-        at = [np.flatnonzero(deg[r] == l) for l in degrees]
-        rows, top = np.arange(len(lane[r])), np.maximum.accumulate(deg[r])
-        g, i = np.broadcast_to(grid, (len(rows), coarse)), start[r]
-        for _ in range(2):
-            g = np.linspace(g[rows, np.maximum(i - 1, 0)],
-                            g[rows, np.minimum(i + 1, g.shape[1] - 1)], 65, axis=1)
-            f = np.empty(g.shape)
-            for l, d in _wigner_d_lanes(k[lane[r]], n[lane[r]], g, l_max, top):
-                f[at[l]] = np.sqrt(np.sin(g[at[l]])) * np.abs(d[at[l]])
-            i = f.argmax(axis=1)
-            np.maximum.at(sups, deg[r], f[rows, i])
+    sups = np.maximum.reduceat(_first_degree_peaks(k, n), degrees * (degrees + 1) // 2)
+    live = k[:, None] < degrees         # rows above each lane's first degree
+    for P in (2 * (2 * l_max + 1) + 1, 4 * (2 * l_max + 1) + 1):
+        lanes = np.flatnonzero(live.any(axis=1))
+        top = np.maximum.accumulate(l_max - live[lanes, ::-1].argmax(axis=1))
+        peaks = _lane_peaks(k[lanes], n[lanes], np.linspace(0.0, math.pi, P), l_max, top)
+        f_P = 1 - ((2 * degrees + 1) * math.pi / (P - 1)) ** 2 / 8
+        for l, p in enumerate(peaks):
+            live[lanes[:len(p)], l] &= p ** 2 / f_P[l] >= sups[l] ** 2
+    if live.any():
+        raise RuntimeError(f"sup certificate failed at l_max={l_max}: {live.sum()} rows "
+                           "above their lane's first degree may exceed the closed form")
     return sups
 
 
-def bound_scan(B_list: list[int], coarse: int = 4096):
+def bound_scan(B_list: list[int]):
     """For each bandwidth, the sup of the preconditioned |Wigner-D| over the
-    whole basis, plus the log-log slope of sup versus basis size."""
+    whole basis, plus the log-log slope of sup versus basis size. The sup is
+    N_l S_l at some l < B, and N_l S_l grows as (2l+1)^{1/4}, so with
+    N ~ 4B^3/3 it grows as N^{1/12} and its square as N^{1/6}."""
     if not B_list or min(B_list) < 1:
         raise ValueError(f"bandwidths must be >= 1, got {B_list}")
     if len(set(B_list)) != len(B_list):
         raise ValueError(f"bandwidths repeat a value: {B_list}")
     B_list = sorted(B_list)
-    sups = _degree_sups(B_list[-1] - 1, coarse)
+    sups = _degree_sups(B_list[-1] - 1)
     per_l_sup = [float(sups[l]) * _norm_factor(l) for l in range(B_list[-1])]
     rows = [(B, basis_count(B), max(per_l_sup[:B])) for B in B_list]
     logN = np.log([r[1] for r in rows])
@@ -282,9 +269,9 @@ def bound_scan(B_list: list[int], coarse: int = 4096):
     return rows, slope
 
 
-def weighted_sup_profile(l_max: int, coarse: int = 2048) -> np.ndarray:
+def weighted_sup_profile(l_max: int) -> np.ndarray:
     """Per degree l <= l_max, sup over (k, n) and theta of
     (sin theta)^{1/2} |d_l^{k,n}| * (2l+1)^{1/4}."""
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
-    return _degree_sups(l_max, coarse) * (2 * np.arange(l_max + 1) + 1) ** 0.25
+    return _degree_sups(l_max) * (2 * np.arange(l_max + 1) + 1) ** 0.25

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,13 +245,31 @@ def _load_rows(directory, name: str, kinds) -> list[list]:
     return rows
 
 
+# meta.json fields: what each must be, and its test (bool is no int here)
+_META_FIELDS = {
+    "B": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "m": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "epsilon": ("a finite number >= 0",
+                lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max),
+}
+
+
 def load_problem(directory) -> SensingProblem:
-    """Read a problem written by save_problem. ValueError for a points.csv or
-    y.csv with no rows or a line that does not parse, is not finite or has theta
-    outside [0, pi]; a points.csv that mixes or names an unknown measure; or a
-    y.csv whose row count differs from points.csv's or from meta.json's m."""
+    """Read a problem written by save_problem. ValueError for a meta.json
+    that is not an object or whose B, m or epsilon is missing or not as
+    `_META_FIELDS` requires; a points.csv or y.csv with no rows or a line that
+    does not parse, is not finite or has theta outside [0, pi]; a points.csv
+    that mixes or names an unknown measure; or a y.csv whose row count differs
+    from points.csv's or from meta.json's m."""
     with open(os.path.join(directory, "meta.json")) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError("meta.json is not a JSON object")
+    for key, (want, ok) in _META_FIELDS.items():
+        if key not in meta:
+            raise ValueError(f"meta.json has no field {key}")
+        if not ok(meta[key]):
+            raise ValueError(f"meta.json field {key}: {meta[key]!r} is not {want}")
     points = _load_rows(directory, "points.csv", (_theta, _finite, _finite, str))
     theta, phi, chi, measure = zip(*points)
     measures = set(measure)

@@ -188,6 +188,39 @@ def test_recover_rejects_malformed_problem_files(name, edit, tmp_path, capsys):
         assert "outside [0, pi]" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("B", None), ("B", 2.5), ("B", True), ("B", 0),
+    ("m", None), ("m", 60.0), ("m", True), ("m", 0),
+    ("epsilon", None), ("epsilon", float("nan")), ("epsilon", -1e-3),
+])
+def test_recover_rejects_bad_meta_fields(key, value, tmp_path, capsys):
+    # None drops the field; each case must end in a config error naming the
+    # file and the field, not a traceback or a solve to MaxIter
+    pdir, out = tmp_path / "problem", tmp_path / "solve"
+    _save_problem(pdir)
+    meta = json.loads((pdir / "meta.json").read_text())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    (pdir / "meta.json").write_text(json.dumps(meta))
+    assert cli.run(["recover", "--problem-dir", str(pdir), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error: config:") == 1
+    assert f"meta.json has no field {key}" in err or f"meta.json field {key}: " in err
+    assert not out.exists()
+
+
+def test_recover_rejects_meta_json_that_is_not_an_object(tmp_path, capsys):
+    pdir, out = tmp_path / "problem", tmp_path / "solve"
+    _save_problem(pdir)
+    (pdir / "meta.json").write_text("null")
+    assert cli.run(["recover", "--problem-dir", str(pdir), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "meta.json is not a JSON object" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_recover_polished_solve_is_exactly_sparse(tmp_path):
     # radius 0 with 40 samples against basis_count(4) = 84 columns: the solve
     # ends on a certified polish, which zeroes every entry off its support

@@ -115,71 +115,57 @@ def test_bound_scan_B1():
 
 
 def test_bound_scan_monotone_in_B():
-    rows, slope = bound_scan([2, 4, 8], coarse=1024)
+    rows, slope = bound_scan([2, 4, 8])
     sups = [r[2] for r in rows]
     assert sups[0] <= sups[1] <= sups[2]
     assert 0.0 < slope < 0.2
 
 
 def test_bound_scan_frozen_values():
-    # frozen oracle from the per-class Jacobi scan this one replaced
-    rows, slope = bound_scan([2, 4, 8], coarse=1024)
+    # frozen closed-form sups; the grid maxima frozen before them (from the
+    # per-class Jacobi scan on 1024 points) sit below the true sup
+    rows, slope = bound_scan([2, 4, 8])
     assert [r[:2] for r in rows] == [(2, 10), (4, 84), (8, 680)]
-    expected = [0.1402382193832275, 0.17109484385870619, 0.2059879595014548]
-    for (_, _, sup), want in zip(rows, expected):
-        assert sup == pytest.approx(want, rel=1e-12)
-    assert slope == pytest.approx(0.09112534630115364, rel=1e-12)
+    expected = [0.14023821938324038, 0.17109484385923238, 0.20598795950152912]
+    grid_maxima = [0.1402382193832275, 0.17109484385870619, 0.2059879595014548]
+    for (_, _, sup), want, below in zip(rows, expected, grid_maxima):
+        assert sup == pytest.approx(want, rel=1e-13)
+        assert below <= sup <= below * (1 + 1e-10)
+    assert slope == pytest.approx(0.09112534630122131, rel=1e-13)
 
 
 def test_weighted_sup_profile_frozen_values():
-    prof = weighted_sup_profile(6, coarse=1024)
-    expected = [1.0, 0.9468494720561625, 0.9382166700834901, 0.934667793065065,
-                0.9327328405434231, 0.9315147196747422, 0.9306773151315975]
-    np.testing.assert_allclose(prof, expected, rtol=1e-12, atol=0)
+    prof = weighted_sup_profile(6)
+    expected = [1.0, 0.9468494720562495, 0.938216670083498, 0.9346677930679393,
+                0.9327328405436421, 0.931514719676778, 0.9306773151363485]
+    np.testing.assert_allclose(prof, expected, rtol=1e-13, atol=0)
+    grid_maxima = np.array([1.0, 0.9468494720561625, 0.9382166700834901, 0.934667793065065,
+                            0.9327328405434231, 0.9315147196747422, 0.9306773151315975])
+    assert np.all((grid_maxima <= prof) & (prof <= grid_maxima * (1 + 1e-10)))
 
 
 def test_degree_sups_cover_every_order_pair():
-    # brute force over all (2l+1)^2 order pairs on the same coarse grid; the
-    # scan's refinement may only add to it
+    # brute force over all (2l+1)^2 order pairs on a grid: the lanes
+    # 0 <= n <= k carry every sup
     theta = np.linspace(0.0, math.pi, 1024)
     weight = np.sqrt(np.sin(theta))
-    sups = experiments._degree_sups(8, 1024)
+    sups = experiments._degree_sups(8)
     for l in range(9):
         brute = max((weight * np.abs(wigner_d(l, k, n, theta))).max()
                     for k, n in itertools.product(range(-l, l + 1), repeat=2))
         assert 0 <= sups[l] - brute <= 1e-5 * brute, l
 
 
-def _degree_sups_every_lane(l_max, coarse):
-    # the scan before its Bernstein pruning: every lane of every degree is
-    # refined, one degree at a time
-    degrees = np.arange(l_max + 1)
+def _grid_sups_every_lane(l_max, points):
+    # per degree, the largest grid peak of every lane 0 <= n <= k, with no
+    # pruning and no closed form
     k, n = np.tril_indices(l_max + 1)
-    grid = np.linspace(0.0, math.pi, coarse)
+    grid = np.linspace(0.0, math.pi, points)
     weight = np.sqrt(np.sin(grid))
-    best = [np.zeros((l + 1) * (l + 2) // 2, dtype=int) for l in degrees]
-    peak = [np.full((l + 1) * (l + 2) // 2, -1.0) for l in degrees]
-    for s in range(0, coarse, _SLICE):
+    sups = np.zeros(l_max + 1)
+    for s in range(0, points, _SLICE):
         for l, d in _wigner_d_lanes(k, n, grid[s:s + _SLICE], l_max):
-            f = np.abs(d)
-            f *= weight[s:s + _SLICE]
-            i = f.argmax(axis=1)
-            v = f[np.arange(len(i)), i]
-            up = v > peak[l]
-            best[l][up] = s + i[up]
-            peak[l][up] = v[up]
-    sups = np.empty(l_max + 1)
-    for l in degrees:
-        lanes = np.arange((l + 1) * (l + 2) // 2)
-        g, i, sup = np.broadcast_to(grid, (len(lanes), coarse)), best[l], peak[l]
-        for _ in range(2):
-            g = np.linspace(g[lanes, np.maximum(i - 1, 0)],
-                            g[lanes, np.minimum(i + 1, g.shape[1] - 1)], 65, axis=1)
-            *_, (_, d) = _wigner_d_lanes(k[lanes], n[lanes], g, l)
-            f = np.sqrt(np.sin(g)) * np.abs(d)
-            i = f.argmax(axis=1)
-            sup = np.maximum(sup, f[lanes, i])
-        sups[l] = sup.max()
+            sups[l] = max(sups[l], (np.abs(d) * weight[s:s + _SLICE]).max())
     return sups
 
 
@@ -187,18 +173,22 @@ def _degree_sups_every_lane(l_max, coarse):
                                            (31, 253), (31, 254), (50, 2048),
                                            (31, 127), (31, 128), (63, 4096)])
 def test_degree_sups_pruning_is_exact(l_max, coarse):
-    # (6, 5) and (5, 3) hold degrees whose Bernstein factor is <= 0, where
-    # every lane is refined; at l_max = 31 the pruning levels have 127 and 253
-    # points, so (31, 127) is one coarse pass, (31, 128) runs the first level
-    # only, (31, 253) the first and (31, 254) both
-    np.testing.assert_array_equal(experiments._degree_sups(l_max, coarse),
-                                  _degree_sups_every_lane(l_max, coarse))
+    # a scan of every lane on `coarse` points is at most the closed form, up
+    # to rounding, and at least the Bernstein factor f_c(l) of it; (6, 5) and
+    # (5, 3) hold degrees where f_c <= 0, and at l_max = 31 the certificate's
+    # levels have 127 and 253 points
+    sups = experiments._degree_sups(l_max)
+    scan = _grid_sups_every_lane(l_max, coarse)
+    f_c = 1 - (2 * np.arange(l_max + 1) + 1) ** 2 * (math.pi / (coarse - 1)) ** 2 / 8
+    assert np.all(scan <= sups * (1 + 1e-14))
+    assert np.all(f_c * sups ** 2 <= scan ** 2)
 
 
 def test_degree_sups_scans_few_lanes_on_the_coarse_grid(monkeypatch):
     # rows advanced or seeded x points over every degree of every
-    # _wigner_d_lanes call of the scan, against one coarse pass of every lane
-    # at every degree; each call's last degrees must be nondecreasing
+    # _wigner_d_lanes call of the certificate, against one pass of every lane
+    # at every degree on its 253-point level; each call's last degrees must
+    # be nondecreasing
     work = []
 
     def counted(k, n, theta, l_max, top=None):
@@ -209,9 +199,35 @@ def test_degree_sups_scans_few_lanes_on_the_coarse_grid(monkeypatch):
             yield l, d
 
     monkeypatch.setattr(experiments, "_wigner_d_lanes", counted)
-    experiments._degree_sups(31, 4096)
+    experiments._degree_sups(31)
     rows = sum((l + 1) * (l + 2) // 2 for l in range(32))   # 5,984
-    assert sum(work) < rows * 4096 / 10
+    assert sum(work) < rows * 253
+
+
+def test_degree_sups_certificate_holds():
+    for l_max in range(41):
+        experiments._degree_sups(l_max)
+
+
+def test_degree_sups_certificate_fails_loudly(monkeypatch):
+    # a closed form half too small leaves rows above their first degree live
+    true_peaks = experiments._first_degree_peaks
+    monkeypatch.setattr(experiments, "_first_degree_peaks", lambda k, n: 0.5 * true_peaks(k, n))
+    with pytest.raises(RuntimeError, match=r"l_max=12: \d+ rows"):
+        experiments._degree_sups(12)
+
+
+@given(l=st.integers(0, 40), data=st.data())
+def test_first_degree_peak_matches_a_fine_grid(l, data):
+    # the closed-form peak of lane (l, n) at degree l against its grid peak on
+    # 4096 points: at most the closed form, at least the Bernstein factor of it
+    n = data.draw(st.integers(0, l), label="n")
+    theta = np.linspace(0.0, math.pi, 4096)
+    *_, (_, d) = _wigner_d_lanes([l], [n], theta, l)
+    scan = (np.sqrt(np.sin(theta)) * np.abs(d[0])).max()
+    peak = experiments._first_degree_peaks(np.array([l]), np.array([n]))[0]
+    f_c = 1 - (2 * l + 1) ** 2 * (math.pi / 4095) ** 2 / 8
+    assert f_c * peak ** 2 <= scan ** 2 and scan <= peak * (1 + 1e-14)
 
 
 @given(l=st.integers(0, 40), coarse=st.integers(3, 4096), data=st.data())
@@ -229,22 +245,19 @@ def test_coarse_peak_meets_bernstein_bound(l, coarse, data):
     assert peaks[0] >= (1 - (2 * l + 1) ** 2 * h * h / 8) * peaks[1]
 
 
-@pytest.mark.parametrize("B_list, coarse", [
-    ([], 64), ([0, 4], 64), ([4, 4], 64), ([2, 4], 2), ([2, 4], 1),
-])
-def test_bound_scan_rejects_bad_inputs(B_list, coarse):
+@pytest.mark.parametrize("B_list", [[], [0, 4], [4, 4]])
+def test_bound_scan_rejects_bad_inputs(B_list):
     with pytest.raises(ValueError):
-        bound_scan(B_list, coarse=coarse)
+        bound_scan(B_list)
 
 
-@pytest.mark.parametrize("l_max, coarse", [(-1, 64), (3, 2)])
-def test_weighted_sup_profile_rejects_bad_inputs(l_max, coarse):
+def test_weighted_sup_profile_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        weighted_sup_profile(l_max, coarse=coarse)
+        weighted_sup_profile(-1)
 
 
 def test_weighted_sup_profile_small():
-    prof = weighted_sup_profile(6, coarse=1024)
+    prof = weighted_sup_profile(6)
     # boundedness across degrees: no growth beyond the low-degree maximum
     assert prof.max() <= 1.2 * prof[:3].max()
 
