@@ -93,7 +93,11 @@ def _cmd_gram(ns) -> None:
 def _cmd_bound_scan(ns) -> None:
     if ns.grid < 3:
         raise ConfigError(f"--grid needs >= 3 points, got {ns.grid}")
-    rows, slope = experiments.bound_scan([int(b) for b in ns.B_list.split(",")])
+    try:
+        B_list = [int(b) for b in ns.B_list.split(",")]
+    except ValueError:
+        raise ConfigError(f"--B-list {ns.B_list!r} is not comma-separated integers")
+    rows, slope = experiments.bound_scan(B_list)
     _write(ns, "bounds.csv", "B,N,sup_preconditioned_D",
            (f"{B},{N},{FMT % sup}" for B, N, sup in rows))
     print(f"loglog_slope={slope:.6f}")
@@ -102,6 +106,7 @@ def _cmd_bound_scan(ns) -> None:
 # TrialConfig fields a phase-transition config may set, besides its m and s lists
 _TRIAL_KEYS = ("B", "measure", "trials", "base_seed", "success_threshold",
                "noise_epsilon", "nonzero_model")
+_INT_KEYS = ("B", "trials", "base_seed")   # a JSON true is a bool, not one of these
 
 
 def _cmd_phase_transition(ns) -> int:
@@ -121,13 +126,22 @@ def _cmd_phase_transition(ns) -> int:
     unknown = sorted(set(cfg) - {*_TRIAL_KEYS, "m_values", "s_values"})
     if unknown:
         raise ConfigError(f"unknown phase-transition config keys: {unknown}")
-    try:
-        template = experiments.TrialConfig(**{k: cfg[k] for k in _TRIAL_KEYS if k in cfg})
-        m_values = [int(m) for m in cfg["m_values"]]
-        s_values = [int(s) for s in cfg["s_values"]]
-    except (KeyError, ValueError, TypeError) as exc:
+    for key in _INT_KEYS:
+        if key in cfg and type(cfg[key]) is not int:
+            raise ConfigError(f"phase-transition config {key}: {cfg[key]!r} is not an integer")
+    for key in ("m_values", "s_values"):
+        if key not in cfg:
+            raise ConfigError(f"phase-transition config has no {key}")
+        if not (isinstance(cfg[key], list) and cfg[key]
+                and all(type(v) is int for v in cfg[key])):
+            raise ConfigError(f"phase-transition config {key}: {cfg[key]!r} "
+                              "is not a non-empty list of integers")
+    try:   # the template holds the first cell's m and s; every cell checks its own
+        template = experiments.TrialConfig(**{k: cfg[k] for k in _TRIAL_KEYS if k in cfg},
+                                           m=cfg["m_values"][0], s=cfg["s_values"][0])
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad phase-transition config: {exc}")
-    grid = experiments.phase_transition(template, m_values, s_values,
+    grid = experiments.phase_transition(template, cfg["m_values"], cfg["s_values"],
                                         threads=ns.threads)
     _write(ns, "grid.csv", "m,s,success_rate",
            (f"{m},{s},{FMT % grid.success_rate[i, j]}"
@@ -172,11 +186,13 @@ def _cmd_nearfield_sim(ns) -> int:
         try:
             with open(ns.probe_weights) as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError(f"a {type(raw).__name__}, not a JSON object")
             weights = {
-                tuple(int(t) for t in key.split(",")): complex(v[0], v[1])
-                for key, v in raw.items()
+                tuple(int(t) for t in key.split(",")): complex(re, im)
+                for key, (re, im) in raw.items()
             }
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad probe-weights file: {exc}")
     weights = weights or nearfield.default_probe_weights()
     ncoef = nearfield.coefficient_count(ns.B)

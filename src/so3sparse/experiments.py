@@ -61,7 +61,7 @@ class TrialConfig:
             raise ValueError(f"sparsity {self.s} outside [1, {N}]")
         if self.m < 1 or self.trials < 1:
             raise ValueError("m and trials must be >= 1")
-        if self.success_threshold <= 0:
+        if not self.success_threshold > 0:   # false for NaN too
             raise ValueError("success_threshold must be positive")
 
 
@@ -182,18 +182,15 @@ def contour_half_success(grid: PhaseTransitionGrid) -> list[float]:
     return out
 
 
-def _lane_peaks(k, n, grid, l_max: int, top):
-    """Per degree l, each lane's peak of (sin theta)^{1/2} |d_l^{k,n}| on grid,
-    for the lanes of `_wigner_d_lanes` defined at l and run to l by its top.
-    A row above a lane's top keeps peak -1, whose square bounds every sup."""
+def _lane_peaks(k, n, grid, l_max: int) -> np.ndarray:
+    """peak[i, l], lane i's peak of (sin theta)^{1/2} |d_l^{k,n}| on grid for
+    the lanes of `_wigner_d_lanes`; 0 below each lane's first degree."""
     weight = np.sqrt(np.sin(grid))
-    sizes = np.searchsorted(np.maximum(np.abs(k), np.abs(n)), np.arange(l_max + 1), "right")
-    peak = [np.full(c, -1.0) for c in sizes]
+    peak = np.zeros((len(k), l_max + 1))
     for s in range(0, len(grid), _SLICE):
-        for l, d in _wigner_d_lanes(k, n, grid[s:s + _SLICE], l_max, top):
-            lo = np.searchsorted(top, l)
-            f = np.abs(d[lo:]) * weight[s:s + _SLICE]
-            np.maximum(peak[l][lo:], f.max(axis=1), out=peak[l][lo:])
+        for l, d in _wigner_d_lanes(k, n, grid[s:s + _SLICE], l_max):
+            f = np.abs(d) * weight[s:s + _SLICE]
+            np.maximum(peak[:len(d), l], f.max(axis=1), out=peak[:len(d), l])
     return peak
 
 
@@ -227,23 +224,19 @@ def _degree_sups(l_max: int) -> np.ndarray:
     a point of a grid of spacing h, so a row's grid peak p^2 is at least
     f_P(l) = 1 - (2l+1)^2 h^2 / 8 of its sup^2. Two levels of
     P = 2(2 l_max + 1) + 1 and 4(2 l_max + 1) + 1 points, where
-    f_P(l) >= 1 - pi^2/32 > 0, each run the lanes with a live row, each lane
-    only to its last live degree (the running max over the l0-sorted lanes,
-    so tops are nondecreasing). A live row stays live only if
-    p^2 / f_P(l) >= S_l^2; a row no longer live has sup < S_l. Any row still
-    live after both levels is a RuntimeError: the sups are never returned
-    uncertified."""
+    f_P(l) >= 1 - pi^2/32 > 0, each run the lanes with a live row through
+    every degree. A live row stays live only if p^2 / f_P(l) >= S_l^2; a row
+    no longer live has sup < S_l. Any row still live after both levels is a
+    RuntimeError: the sups are never returned uncertified."""
     degrees = np.arange(l_max + 1)
     k, n = np.tril_indices(l_max + 1)   # n = 0..k per k, sorted by l0 = k
     sups = np.maximum.reduceat(_first_degree_peaks(k, n), degrees * (degrees + 1) // 2)
     live = k[:, None] < degrees         # rows above each lane's first degree
     for P in (2 * (2 * l_max + 1) + 1, 4 * (2 * l_max + 1) + 1):
         lanes = np.flatnonzero(live.any(axis=1))
-        top = np.maximum.accumulate(l_max - live[lanes, ::-1].argmax(axis=1))
-        peaks = _lane_peaks(k[lanes], n[lanes], np.linspace(0.0, math.pi, P), l_max, top)
+        peaks = _lane_peaks(k[lanes], n[lanes], np.linspace(0.0, math.pi, P), l_max)
         f_P = 1 - ((2 * degrees + 1) * math.pi / (P - 1)) ** 2 / 8
-        for l, p in enumerate(peaks):
-            live[lanes[:len(p)], l] &= p ** 2 / f_P[l] >= sups[l] ** 2
+        live[lanes] &= peaks ** 2 / f_P >= sups ** 2
     if live.any():
         raise RuntimeError(f"sup certificate failed at l_max={l_max}: {live.sum()} rows "
                            "above their lane's first degree may exceed the closed form")

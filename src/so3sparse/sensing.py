@@ -42,7 +42,7 @@ def build_matrix(samples: Samples, B: int) -> np.ndarray:
 
 def add_noise(y: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.ndarray:
     """Add i.i.d. noise uniform on the complex disk of radius epsilon."""
-    if epsilon < 0:
+    if not epsilon >= 0:   # false for NaN too
         raise ValueError("epsilon must be >= 0")
     if epsilon == 0:
         return y.copy()

@@ -86,7 +86,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:   # false for NaN too
             raise ValueError("tolerance must be positive")
 
 
@@ -247,7 +247,7 @@ def bpdn_ball(
     A: np.ndarray, y: np.ndarray, radius: float, cfg: SolverConfig | None = None
 ) -> SolverResult:
     """min sum|x_j| subject to ||A x - y||_2 <= radius (complex)."""
-    if radius < 0:
+    if not radius >= 0:   # false for NaN too
         raise ValueError("radius must be >= 0")
     cfg = cfg or SolverConfig()
     A = np.asarray(A, dtype=complex)

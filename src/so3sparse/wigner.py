@@ -110,14 +110,12 @@ def spherical_harmonic(l: int, k: int, theta, phi):
 _SLICE = 512  # points per run of _wigner_d_lanes: keeps its working arrays small
 
 
-def _wigner_d_lanes(k, n, theta, l_max: int, top=None):
+def _wigner_d_lanes(k, n, theta, l_max: int):
     """Yield (l, d) for l = 0..l_max, where row i of d is d_l^{k_i, n_i}(theta)
-    for every lane i with max(|k_i|, |n_i|) <= l <= top_i.
+    for every lane i with max(|k_i|, |n_i|) <= l.
 
     Lanes must come sorted by l0 = max(|k|, |n|), so the lanes defined at
     degree l are the first rows; d is a view that the next step overwrites.
-    top (default l_max) is each lane's last degree, nondecreasing in lane order:
-    lanes from lo = searchsorted(top, l) on reach degree l, rows below lo are stale.
     theta is one grid shared by every lane, or one grid per lane (shape
     (lanes, points)). Each lane starts at its l0 from the closed form
 
@@ -144,26 +142,25 @@ def _wigner_d_lanes(k, n, theta, l_max: int, top=None):
         0.5 * (gammaln(mu + lam + 1) - gammaln(mu + 1) - gammaln(lam + 1))
     )
     k2, n2, kn = k * k, n * n, k * n
-    top = np.full(len(k), l_max) if top is None else np.asarray(top)
     cur, prev, tmp = np.zeros(shape), np.zeros(shape), np.empty(shape)
     for l in range(l_max + 1):
-        lo, a, hi = np.searchsorted(top, l), starts[l], starts[l + 1]
-        if a > lo:
-            # advance lanes [lo, a) from degree l - 1 to l; at l = 1 they all
+        a, hi = starts[l], starts[l + 1]
+        if a:
+            # advance lanes [0, a) from degree l - 1 to l; at l = 1 they all
             # have k = n = 0 and c_l multiplies d_{-1} = 0
-            r = np.sqrt((l * l - k2[lo:a]) * (l * l - n2[lo:a]))
+            r = np.sqrt((l * l - k2[:a]) * (l * l - n2[:a]))
             scale = l * (2 * l - 1) / r
             if l > 1:
-                shift = kn[lo:a] / (l * (l - 1))
-                r_prev = np.sqrt(((l - 1) ** 2 - k2[lo:a]) * ((l - 1) ** 2 - n2[lo:a]))
+                shift = kn[:a] / (l * (l - 1))
+                r_prev = np.sqrt(((l - 1) ** 2 - k2[:a]) * ((l - 1) ** 2 - n2[:a]))
                 back = l * r_prev / ((l - 1) * r)
             else:
-                shift = back = np.zeros(len(r))
-            t = tmp[lo:a]
-            np.subtract(x[lo:a], shift[:, None], out=t)
-            t *= cur[lo:a]
+                shift = back = np.zeros(a)
+            t = tmp[:a]
+            np.subtract(x[:a], shift[:, None], out=t)
+            t *= cur[:a]
             t *= scale[:, None]
-            p = prev[lo:a]
+            p = prev[:a]
             p *= back[:, None]
             np.subtract(t, p, out=p)
             prev, cur = cur, prev

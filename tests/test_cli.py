@@ -63,12 +63,16 @@ def test_gram_b8_reports_orthonormal(measure, capsys):
     ["bound-scan", "--B-list", "0,4"],
     ["bound-scan", "--B-list", "4,4"],
     ["bound-scan", "--B-list", "2,4", "--grid", "1"],
+    ["bound-scan", "--B-list", "4,,8"],
 ])
 def test_invalid_kernel_inputs_exit_code(argv, tmp_path, capsys):
     if argv[0] == "bound-scan":
         argv = argv + ["--output-dir", str(tmp_path / "scan")]
     assert cli.run(argv) == 1
-    assert "error: config:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: config:" in err
+    if "4,,8" in argv:   # a list int() cannot read: the error names the flag and the value
+        assert "--B-list '4,,8'" in err
     assert not (tmp_path / "scan" / "bounds.csv").exists()
     assert not (tmp_path / "scan").exists()
 
@@ -80,6 +84,22 @@ def test_nearfield_sim_rejects_sparsity_outside_range(s, tmp_path, capsys):
     assert cli.run(["nearfield-sim", "--B", "2", "--s", s, "--m", "40",
                     "--output-dir", str(out)]) == 1
     assert "error: config: sparsity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["recover", "--problem-dir", "{problem}", "--radius", "nan", "--max-iter", "2000"],
+    ["recover", "--problem-dir", "{problem}", "--tol", "nan"],
+    ["nearfield-sim", "--B", "2", "--s", "3", "--m", "40", "--epsilon", "nan"],
+])
+def test_nan_radius_or_tolerance_exit_code(argv, tmp_path, capsys):
+    # NaN fails every comparison, so the checks must ask for membership
+    _save_problem(tmp_path / "problem")
+    out = tmp_path / "out"
+    argv = [a.format(problem=tmp_path / "problem") for a in argv] + ["--output-dir", str(out)]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error: config:") == 1
     assert not out.exists()
 
 
@@ -289,6 +309,17 @@ def test_nearfield_sim_rejects_bad_probe_weight_key(key, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weights", [[1, 2], {"1,1": 5}, {"1,1": [1]}])
+def test_nearfield_sim_rejects_malformed_probe_weights(weights, tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(weights))
+    out = tmp_path / "nf"
+    assert cli.run(["nearfield-sim", "--B", "2", "--s", "3", "--m", "40",
+                    "--probe-weights", str(path), "--output-dir", str(out)]) == 1
+    assert "error: config: bad probe-weights file: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nearfield_sim_ill_conditioned_consistent_system_is_solved(tmp_path):
     # the weight 1e6 on (1, 2) gives a preconditioned 60 x 30 system with
     # sigma_min / sigma_max = 7.9e-8; y = A x is consistent at epsilon 0
@@ -369,6 +400,13 @@ def test_phase_transition_without_config_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("cfg, named", [
     ([1, 2], "not a JSON object"),
     ({"B": 2, "m_values": [4], "s_values": [1], "trails": 2}, "['trails']"),
+    ({"B": 2, "m_values": [4], "s_values": [1], "trials": 1.5}, "trials: 1.5"),
+    ({"B": 2.5, "m_values": [4], "s_values": [1]}, "B: 2.5"),
+    ({"B": True, "m_values": [4], "s_values": [1]}, "B: True"),
+    ({"B": 2, "m_values": [4], "s_values": [1], "base_seed": 0.5}, "base_seed: 0.5"),
+    ({"B": 2, "m_values": [20.7], "s_values": [1]}, "m_values: [20.7]"),
+    ({"B": 2, "m_values": [4], "s_values": [True]}, "s_values: [True]"),
+    ({"B": 2, "m_values": [4]}, "no s_values"),
 ])
 def test_phase_transition_rejects_config_that_is_not_its_keys(cfg, named, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -378,6 +416,16 @@ def test_phase_transition_rejects_config_that_is_not_its_keys(cfg, named, tmp_pa
     err = capsys.readouterr().err
     assert "error: config:" in err and named in err
     assert not out.exists()
+
+
+def test_phase_transition_at_bandwidth_one(tmp_path):
+    # B = 1 has one basis function, so only s = 1 is a valid sparsity
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"B": 1, "m_values": [1, 2], "s_values": [1], "trials": 2}))
+    out = tmp_path / "pt"
+    assert cli.run(["phase-transition", "--config", str(path), "--output-dir", str(out)]) == 0
+    assert (out / "grid.csv").read_text().splitlines()[0] == "m,s,success_rate"
+    assert len((out / "grid.csv").read_text().splitlines()) == 3
 
 
 @pytest.mark.parametrize("manifest", [{}, [1, 2], {"subcommand": "bound-scan"}])

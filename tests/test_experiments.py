@@ -187,21 +187,30 @@ def test_degree_sups_pruning_is_exact(l_max, coarse):
 def test_degree_sups_scans_few_lanes_on_the_coarse_grid(monkeypatch):
     # rows advanced or seeded x points over every degree of every
     # _wigner_d_lanes call of the certificate, against one pass of every lane
-    # at every degree on its 253-point level; each call's last degrees must
-    # be nondecreasing
+    # at every degree on its 253-point level
     work = []
 
-    def counted(k, n, theta, l_max, top=None):
-        assert top is None or np.all(np.diff(top) >= 0)
-        for l, d in _wigner_d_lanes(k, n, theta, l_max, top):
-            lo = 0 if top is None else np.searchsorted(top, l)
-            work.append((len(d) - lo) * np.shape(theta)[-1])
+    def counted(k, n, theta, l_max):
+        for l, d in _wigner_d_lanes(k, n, theta, l_max):
+            work.append(len(d) * np.shape(theta)[-1])
             yield l, d
 
     monkeypatch.setattr(experiments, "_wigner_d_lanes", counted)
     experiments._degree_sups(31)
     rows = sum((l + 1) * (l + 2) // 2 for l in range(32))   # 5,984
     assert sum(work) < rows * 253
+
+
+def test_lane_peaks_keep_the_max_across_slice_blocks():
+    # the certificate's levels pass _SLICE points first at l_max = 64; a grid
+    # of three blocks must give each lane's peak on the whole grid bit for bit
+    l_max = 20
+    k, n = np.tril_indices(l_max + 1)
+    grid = np.linspace(0.0, math.pi, 2 * _SLICE + 50)
+    whole = np.zeros((len(k), l_max + 1))
+    for l, d in _wigner_d_lanes(k, n, grid, l_max):
+        whole[:len(d), l] = (np.abs(d) * np.sqrt(np.sin(grid))).max(axis=1)
+    np.testing.assert_array_equal(experiments._lane_peaks(k, n, grid, l_max), whole)
 
 
 def test_degree_sups_certificate_holds():
@@ -269,6 +278,8 @@ def test_trial_config_validation():
         TrialConfig(B=2, s=basis_count(2) + 1)
     with pytest.raises(ValueError):
         TrialConfig(B=2, m=0)
+    with pytest.raises(ValueError, match="success_threshold"):
+        TrialConfig(B=2, success_threshold=math.nan)
 
 
 def test_tan13_trial_runs():

@@ -541,10 +541,12 @@ def test_check_optimality_planted_and_perturbed():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        bpdn_ball(np.eye(2), np.ones(2), -1.0)
+    for tolerance in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            SolverConfig(tolerance=tolerance)
+    for radius in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="radius"):
+            bpdn_ball(np.eye(2), np.ones(2), radius)
 
 
 def test_check_optimality_where_least_norm_fit_fails():

@@ -226,35 +226,6 @@ def test_recurrence_matches_jacobi(l, data):
     np.testing.assert_allclose(d[1], reference_d(l, n, k, grids[1]), rtol=0, atol=1e-12)
 
 
-@given(l_max=st.integers(0, 12), data=st.data())
-def test_lanes_cut_at_their_last_degree_are_exact(l_max, data):
-    # with a nondecreasing last degree per lane, rows [lo, hi) of every degree
-    # are the uncut kernel's rows bit for bit, on a shared or per-lane grid
-    order = st.integers(-l_max, l_max)
-    pairs = data.draw(st.lists(st.tuples(order, order), min_size=1, max_size=12), label="lanes")
-    k, n = np.array(sorted(pairs, key=lambda kn: max(abs(kn[0]), abs(kn[1])))).T
-    top = np.sort(data.draw(st.lists(st.integers(0, l_max), min_size=len(k), max_size=len(k)),
-                            label="top"))
-    theta = np.array(data.draw(
-        st.lists(st.floats(0.0, math.pi), min_size=len(k), max_size=len(k)), label="theta"))
-    if data.draw(st.booleans(), label="grid per lane"):
-        theta = np.stack([np.roll(theta, i) for i in range(len(k))])
-    for (l, cut), (_, full) in zip(_wigner_d_lanes(k, n, theta, l_max, top),
-                                   _wigner_d_lanes(k, n, theta, l_max)):
-        lo = np.searchsorted(top, l)
-        assert len(cut) == len(full)
-        np.testing.assert_array_equal(cut[lo:], full[lo:])
-
-
-def test_lanes_past_their_last_degree_are_not_advanced():
-    # every lane ends at its first degree, so no recurrence step runs and each
-    # row keeps its seed d_{l0}^{k,n} at every later degree
-    theta = np.linspace(0.0, math.pi, 7)
-    seeds = [reference_d(0, 0, 0, theta), reference_d(1, 1, 0, theta)]
-    for l, d in _wigner_d_lanes([0, 1], [0, 0], theta, 5, top=[0, 1]):
-        np.testing.assert_allclose(d, seeds[:len(d)], rtol=0, atol=1e-12)
-
-
 @given(l=st.integers(0, 60), data=st.data())
 def test_mirror_lane_reflects_theta(l, data):
     # |d_l^{k,-n}(theta)| = |d_l^{k,n}(pi - theta)|: the sup scan runs only n >= 0
