@@ -153,6 +153,8 @@ def _cmd_phase_transition(ns) -> int:
 
 
 def _cmd_recover(ns) -> None:
+    if ns.radius is not None:
+        experiments._check_bound("--radius", ns.radius)
     ns.problem_dir = os.path.abspath(ns.problem_dir)
     try:
         problem = sensing.load_problem(ns.problem_dir)
@@ -180,6 +182,7 @@ def _cmd_recover(ns) -> None:
 
 
 def _cmd_nearfield_sim(ns) -> int:
+    experiments._check_bound("--epsilon", ns.epsilon)
     weights = None
     if ns.probe_weights:
         ns.probe_weights = os.path.abspath(ns.probe_weights)

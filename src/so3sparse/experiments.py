@@ -13,17 +13,17 @@ from __future__ import annotations
 import ctypes
 import glob
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import sampling
 from .sensing import add_noise, build_matrix, precondition
 from .solver import CONVERGED, INFEASIBLE, SolverConfig, bpdn_ball
-from .wigner import _SLICE, _norm_factor, _wigner_d_lanes, basis_count
+from .wigner import _SLICE, _log_factorials, _norm_factor, _wigner_d_lanes, basis_count
 
 REAL_GAUSSIAN = "RealGaussian"
 COMPLEX_GAUSSIAN = "ComplexGaussian"
@@ -61,8 +61,17 @@ class TrialConfig:
             raise ValueError(f"sparsity {self.s} outside [1, {N}]")
         if self.m < 1 or self.trials < 1:
             raise ValueError("m and trials must be >= 1")
-        if not self.success_threshold > 0:   # false for NaN too
-            raise ValueError("success_threshold must be positive")
+        _check_bound("success_threshold", self.success_threshold, positive=True)
+        _check_bound("noise_epsilon", self.noise_epsilon)
+
+
+def _check_bound(name: str, value, positive: bool = False) -> None:
+    """Raise a ValueError naming `name` unless value is a finite real >= 0,
+    or > 0 if positive; a bool is not a number here."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
+                         f"got {value!r}")
 
 
 @dataclass
@@ -202,7 +211,8 @@ def _first_degree_peaks(k, n):
     t = (2b + 1) / (2 (2l + 1))."""
     a, b = k + n, k - n
     t = (2 * b + 1) / (2 * (2 * k + 1))
-    return np.exp(0.5 * (math.log(2) + gammaln(2 * k + 1) - gammaln(a + 1) - gammaln(b + 1)
+    log_fact = _log_factorials(2 * int(np.max(k)))
+    return np.exp(0.5 * (math.log(2) + log_fact[2 * k] - log_fact[a] - log_fact[b]
                          + (b + 0.5) * np.log(t) + (a + 0.5) * np.log1p(-t)))
 
 

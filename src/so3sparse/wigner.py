@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "WignerIndex",
@@ -65,9 +64,16 @@ def all_indices(B: int) -> list[WignerIndex]:
     ]
 
 
-def _check_theta(theta) -> None:
+def _check_angles(theta, phi=0.0, chi=0.0) -> None:
     if not np.all((theta >= 0) & (theta <= np.pi)):   # false for NaN too
         raise ValueError("theta outside [0, pi]")
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(chi))):
+        raise ValueError("phi and chi must be finite")
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """Table of log(j!) for j = 0..n, for callers to gather from."""
+    return np.array([math.lgamma(j + 1) for j in range(n + 1)])
 
 
 def wigner_d(l: int, k: int, n: int, theta):
@@ -76,7 +82,7 @@ def wigner_d(l: int, k: int, n: int, theta):
     if abs(k) > l or abs(n) > l or l < 0:
         raise ValueError(f"invalid index (l={l}, k={k}, n={n})")
     theta = np.asarray(theta, dtype=float)
-    _check_theta(theta)
+    _check_angles(theta)
     *_, (_, d) = _wigner_d_lanes([k], [n], theta.reshape(1, -1), l)
     return d[0].reshape(theta.shape)[()]
 
@@ -88,6 +94,7 @@ def _norm_factor(l: int) -> float:
 def wigner_D(l: int, k: int, n: int, theta, phi, chi):
     """Wigner-D function N_l e^{-jk phi} d_l^{k,n}(cos theta) e^{-jn chi}."""
     theta, phi, chi = (np.asarray(v, dtype=float) for v in (theta, phi, chi))
+    _check_angles(theta, phi, chi)
     return (
         _norm_factor(l)
         * np.exp(-1j * (k * phi + n * chi))
@@ -138,9 +145,8 @@ def _wigner_d_lanes(k, n, theta, l_max: int):
     starts = np.searchsorted(np.maximum(np.abs(k), np.abs(n)), np.arange(l_max + 2))
     mu, lam = np.abs(k - n), np.abs(k + n)
     omega = np.where((n >= k) | ((n - k) % 2 == 0), 1.0, -1.0)
-    seed_norm = omega * np.exp(
-        0.5 * (gammaln(mu + lam + 1) - gammaln(mu + 1) - gammaln(lam + 1))
-    )
+    log_fact = _log_factorials(int(np.max(mu + lam, initial=0)))
+    seed_norm = omega * np.exp(0.5 * (log_fact[mu + lam] - log_fact[mu] - log_fact[lam]))
     k2, n2, kn = k * k, n * n, k * n
     cur, prev, tmp = np.zeros(shape), np.zeros(shape), np.empty(shape)
     for l in range(l_max + 1):
@@ -195,7 +201,7 @@ def evaluate_basis(B: int, theta, phi, chi) -> np.ndarray:
             "theta, phi, chi must be 1-D of equal length, got shapes "
             f"{theta.shape}, {phi.shape}, {chi.shape}"
         )
-    _check_theta(theta)
+    _check_angles(theta, phi, chi)
     npts = theta.shape[0]
     out = np.empty((npts, basis_count(B)), dtype=complex)
     L = B - 1

@@ -64,6 +64,8 @@ def test_gram_b8_reports_orthonormal(measure, capsys):
     ["bound-scan", "--B-list", "4,4"],
     ["bound-scan", "--B-list", "2,4", "--grid", "1"],
     ["bound-scan", "--B-list", "4,,8"],
+    ["eval", "--l", "1", "--k", "0", "--n", "0", "--theta", "1", "--phi", "nan", "--chi", "0"],
+    ["eval", "--l", "1", "--k", "0", "--n", "0", "--theta", "1", "--phi", "0", "--chi", "inf"],
 ])
 def test_invalid_kernel_inputs_exit_code(argv, tmp_path, capsys):
     if argv[0] == "bound-scan":
@@ -91,6 +93,10 @@ def test_nearfield_sim_rejects_sparsity_outside_range(s, tmp_path, capsys):
     ["recover", "--problem-dir", "{problem}", "--radius", "nan", "--max-iter", "2000"],
     ["recover", "--problem-dir", "{problem}", "--tol", "nan"],
     ["nearfield-sim", "--B", "2", "--s", "3", "--m", "40", "--epsilon", "nan"],
+    ["nearfield-sim", "--B", "2", "--s", "3", "--m", "40", "--epsilon", "inf"],
+    ["nearfield-sim", "--B", "2", "--s", "3", "--m", "40", "--epsilon", "-1"],
+    ["recover", "--problem-dir", "{problem}", "--radius", "inf"],
+    ["recover", "--problem-dir", "{problem}", "--radius", "-1"],
 ])
 def test_nan_radius_or_tolerance_exit_code(argv, tmp_path, capsys):
     # NaN fails every comparison, so the checks must ask for membership
@@ -100,6 +106,9 @@ def test_nan_radius_or_tolerance_exit_code(argv, tmp_path, capsys):
     assert cli.run(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("error: config:") == 1
+    for flag in ("--epsilon", "--radius"):
+        if flag in argv:
+            assert f"{flag} must be a finite number >= 0" in err
     assert not out.exists()
 
 
@@ -407,12 +416,18 @@ def test_phase_transition_without_config_exit_code(tmp_path, capsys):
     ({"B": 2, "m_values": [20.7], "s_values": [1]}, "m_values: [20.7]"),
     ({"B": 2, "m_values": [4], "s_values": [True]}, "s_values: [True]"),
     ({"B": 2, "m_values": [4]}, "no s_values"),
+    ({"B": 2, "m_values": [4], "s_values": [1], "noise_epsilon": True}, "noise_epsilon"),
+    ({"B": 2, "m_values": [4], "s_values": [1], "noise_epsilon": math.inf}, "noise_epsilon"),
+    ({"B": 2, "m_values": [4], "s_values": [1], "noise_epsilon": "x"}, "noise_epsilon"),
+    ({"B": 2, "m_values": [4], "s_values": [1], "noise_epsilon": -1}, "noise_epsilon"),
+    ({"B": 2, "m_values": [4], "s_values": [1], "success_threshold": "x"}, "success_threshold"),
 ])
 def test_phase_transition_rejects_config_that_is_not_its_keys(cfg, named, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "pt"
-    assert cli.run(["phase-transition", "--config", str(path), "--output-dir", str(out)]) == 1
+    assert cli.run(["phase-transition", "--config", str(path), "--output-dir", str(out),
+                    "--threads", "2"]) == 1
     err = capsys.readouterr().err
     assert "error: config:" in err and named in err
     assert not out.exists()
@@ -477,20 +492,54 @@ def test_module_entry_point_without_install():
     assert proc.stdout.strip() == "0.112540,0.000000"
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg costs every fresh process about 0.05 CPU s and 6 MB
+def test_no_module_imports_scipy():
+    # scipy costs every fresh process most of its start-up; the package
+    # runs on numpy alone, and scipy serves only the tests' references
+    import ast
+
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):   # every depth, function bodies included
+            if isinstance(node, ast.Import):
+                roots = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = [node.module or ""]
+            else:
+                continue
+            assert not any(r.split(".")[0] == "scipy" for r in roots), (name, node.lineno)
+
+
+def test_cli_runs_load_no_scipy(tmp_path):
+    # a fresh process that runs each tan13 command in-process loads no scipy module
     import subprocess
     import sys
 
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"B": 2, "measure": "tan13", "m_values": [4],
+                               "s_values": [1], "trials": 2}))
+    argvs = [
+        ["bound-scan", "--B-list", "1,2", "--output-dir", str(tmp_path / "scan")],
+        ["gram", "--B", "2", "--measure", "tan13"],
+        ["nearfield-sim", "--B", "2", "--s", "3", "--m", "40", "--measure", "tan13",
+         "--output-dir", str(tmp_path / "nf")],
+        ["phase-transition", "--config", str(cfg), "--threads", "1",
+         "--output-dir", str(tmp_path / "pt")],
+    ]
+    code = ("import json, sys\n"
+            "from so3sparse import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.run(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, so3sparse.cli; print('scipy.linalg' in sys.modules)"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_entry_point_installed():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,12 +9,12 @@ from scipy.integrate import quad
 from scipy.special import beta
 from scipy.stats import chisquare, kstest
 
+from sampling_reference import tan13_quantile, theta_cdf
 from so3sparse import sampling
 from so3sparse.sampling import (
     Samples,
     preconditioner_weight,
     sample_points,
-    theta_cdf,
     theta_density,
     theta_quantile,
 )
@@ -139,7 +140,7 @@ def test_quantile_properties(measure, u1, u2):
     lo, hi = sorted((u1, u2))
     q_lo, q_hi = theta_quantile(measure, lo), theta_quantile(measure, hi)
     assert 0.0 <= q_lo <= math.pi and 0.0 <= q_hi <= math.pi
-    # betaincinv is accurate to about an ulp but not monotone at that level
+    # the quantile is accurate to about 2 ulp(pi/2) but not monotone at that level
     assert q_lo <= q_hi + 4 * np.spacing(math.pi)
     back = theta_cdf(measure, q_lo)
     if abs(lo - 0.5) > 1e-8:
@@ -151,6 +152,28 @@ def test_quantile_properties(measure, u1, u2):
     above = theta_cdf(measure, np.nextafter(q_lo, math.pi))
     assert below - 1e-12 <= lo <= above + 1e-12
     assert theta_quantile(measure, 0.5) == math.pi / 2
+
+
+def test_tan13_quantile_matches_betaincinv():
+    # the closed-form Newton quantile and the test-side incomplete-beta
+    # inverse are two routes to one function; each is within about 2 ulp
+    # of a 40-digit oracle, so they may differ by a few ulp(pi/2)
+    ulp = np.spacing(math.pi / 2)
+    k = np.arange(4096) * 2.0**-53
+    for u in (np.random.default_rng(3).uniform(0.0, 1.0, 200_000),
+              k, 0.5 - k, 0.5 + k, 1.0 - k):
+        diff = np.abs(theta_quantile(sampling.TAN13, u) - tan13_quantile(u))
+        assert diff.max() <= 8 * ulp
+
+
+def test_tan13_quantile_symmetry_and_endpoints():
+    q = functools.partial(theta_quantile, sampling.TAN13)
+    assert q(0.0) == 0.0 and q(0.5) == math.pi / 2 and q(1.0) == math.pi
+    # every k 2^-53 <= 1/2, as a generator draws them, has an exact 1 - u
+    k = np.concatenate([np.arange(4096), 2**52 - np.arange(4096),
+                        np.random.default_rng(4).integers(0, 2**52, 100_000)])
+    u = k * 2.0**-53
+    np.testing.assert_array_equal(q(1.0 - u), math.pi - q(u))
 
 
 @pytest.mark.parametrize("measure", [sampling.PRODUCT, sampling.TAN13])

@@ -9,6 +9,7 @@ from scipy.special import lpmv, sph_harm_y
 
 from so3sparse.wigner import (
     WignerIndex,
+    _order_lanes,
     _wigner_d_lanes,
     all_indices,
     basis_count,
@@ -210,6 +211,40 @@ def test_nan_theta_is_outside_range():
         evaluate_basis(2, [0.1, math.nan], [0.3, 0.3], [0.4, 0.4])
     with pytest.raises(ValueError, match=r"theta outside \[0, pi\]"):
         wigner_d(1, 0, 0, [0.1, math.nan])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_phi_or_chi_is_rejected(bad):
+    with pytest.raises(ValueError, match="phi and chi must be finite"):
+        evaluate_basis(2, [0.1, 0.2], [0.3, bad], [0.4, 0.4])
+    with pytest.raises(ValueError, match="phi and chi must be finite"):
+        evaluate_basis(2, [0.1, 0.2], [0.3, 0.3], [bad, 0.4])
+    with pytest.raises(ValueError, match="phi and chi must be finite"):
+        wigner_D(1, 1, 0, 0.5, bad, 0.0)
+    with pytest.raises(ValueError, match="phi and chi must be finite"):
+        wigner_D(1, 1, 0, 0.5, 0.0, bad)
+
+
+def test_seed_norms_match_binomials():
+    # each lane's value at its first degree l0 is its closed-form seed
+    # omega sqrt(C(mu + lam, mu)) sin(theta/2)^mu cos(theta/2)^lam; the norm
+    # comes from log-factorials up to log(160!) ~ 657, whose roundoff alone
+    # is about 1e-13 relative at l0 = 80
+    orders = np.arange(-80, 81)
+    k, n, _ = _order_lanes(orders, orders)
+    l0 = np.maximum(np.abs(k), np.abs(n))
+    seeds = np.empty(len(k))
+    for l, d in _wigner_d_lanes(k, n, np.array([1.0]), 80):
+        first = l0[:len(d)] == l
+        seeds[:len(d)][first] = d[first, 0]
+    half_sin, half_cos = math.sin(0.5), math.cos(0.5)
+    expected = []
+    for ki, ni in zip(k.tolist(), n.tolist()):
+        mu, lam = abs(ki - ni), abs(ki + ni)
+        omega = -1.0 if ni < ki and (ni - ki) % 2 else 1.0
+        expected.append(omega * math.sqrt(math.comb(mu + lam, mu))
+                        * half_sin ** mu * half_cos ** lam)
+    np.testing.assert_allclose(seeds, expected, rtol=1.5e-13, atol=0)
 
 
 @given(l=st.integers(0, 60), data=st.data())
