@@ -155,6 +155,7 @@ def _cmd_phase_transition(ns) -> int:
 def _cmd_recover(ns) -> None:
     if ns.radius is not None:
         experiments._check_bound("--radius", ns.radius)
+    experiments._check_bound("--tol", ns.tol, positive=True, below=1.0)
     ns.problem_dir = os.path.abspath(ns.problem_dir)
     try:
         problem = sensing.load_problem(ns.problem_dir)
@@ -209,13 +210,14 @@ def _cmd_nearfield_sim(ns) -> int:
     x_l1, result = nearfield.recover_transmission(A, samples, y, epsilon=ns.epsilon)
     if result.status == solver.INFEASIBLE:
         raise NumericalError("near-field recovery infeasible")
-    x_ls = nearfield.baseline_least_squares(A, samples, y)
+    x_ls = result.least_squares()
     estimates = {"true": x_true, "l1": x_l1, "ls": x_ls}
 
+    # coefficients are stored in (h, l, k) order, the order of the rows
+    index = [f"{h},{l},{k}" for h in (1, 2) for l in range(1, ns.B + 1) for k in range(-l, l + 1)]
     for tag, x in estimates.items():
         _write(ns, f"T_{tag}.csv", "h,l,k,re,im",
-               (f"{h},{l},{k},{_fmt_c(x[nearfield.coefficient_index(h, l, k, ns.B)])}"
-                for h in (1, 2) for l in range(1, ns.B + 1) for k in range(-l, l + 1)))
+               (f"{hlk},{_fmt_c(v)}" for hlk, v in zip(index, x)))
 
     theta_grid = np.linspace(0.0, math.pi, 181)
     cuts = dict(zip(estimates, nearfield.pattern_cut(

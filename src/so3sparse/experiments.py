@@ -65,13 +65,15 @@ class TrialConfig:
         _check_bound("noise_epsilon", self.noise_epsilon)
 
 
-def _check_bound(name: str, value, positive: bool = False) -> None:
+def _check_bound(name: str, value, positive: bool = False, below: float = math.inf) -> None:
     """Raise a ValueError naming `name` unless value is a finite real >= 0,
-    or > 0 if positive; a bool is not a number here."""
+    or > 0 if positive, and < below; a bool is not a number here."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
-                         f"got {value!r}")
+            and math.isfinite(value) and (value > 0 if positive else value >= 0)
+            and value < below):
+        upper = f" and < {below:g}" if below < math.inf else ""
+        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0"
+                         f"{upper}, got {value!r}")
 
 
 @dataclass

@@ -10,8 +10,9 @@ identical dictionary columns, so the defaults weight them differently
 (c_{1,+-1} = 1, c_{2,n} = n j) and their 2x2 matrix over n is reported
 alongside every result. The m x 2B(B+2) dictionary of one sample set is
 built once from the probe-order lanes (k, n) of the degree recurrence
-alone; it maps coefficients x to the samples A @ x and is passed to both
-recoveries.
+alone; it maps coefficients x to the samples A @ x and is passed to the l1
+recovery, whose solver set-up also gives the least-squares baseline
+(`SolverResult.least_squares`).
 """
 
 from __future__ import annotations
@@ -35,12 +36,10 @@ __all__ = [
     "make_schedule",
     "build_dictionary",
     "recover_transmission",
-    "baseline_least_squares",
     "pattern_cut",
 ]
 
 CHI_SET = (0.0, math.pi / 2)   # probe polarization angles of a schedule
-LS_RCOND = 1e-10               # relative singular-value cut of the LS baseline
 
 
 def coefficient_count(B: int) -> int:
@@ -119,17 +118,11 @@ def recover_transmission(
     cfg: SolverConfig | None = None,
 ) -> tuple[np.ndarray, SolverResult]:
     """l1 recovery of the transmission coefficients from near-field samples
-    y taken at `samples` with dictionary A."""
+    y taken at `samples` with dictionary A. The result's `least_squares()`
+    is the least-squares baseline on the same preconditioned system."""
     system = precondition(samples, A, y, epsilon)
     result = bpdn_ball(system.A, system.y, system.radius, cfg)
     return result.x, result
-
-
-def baseline_least_squares(A: np.ndarray, samples: Samples, y: np.ndarray) -> np.ndarray:
-    """Minimum-norm truncated-SVD solution of the same preconditioned system,
-    standing in for the classical pipeline at equal measurement count."""
-    system = precondition(samples, A, y)
-    return np.linalg.lstsq(system.A, system.y, rcond=LS_RCOND)[0]
 
 
 def pattern_cut(

@@ -106,13 +106,17 @@ def sample_points(measure: str, rng: np.random.Generator, m: int) -> Samples:
 
 
 def _phi(s):
-    """Phi(s) of the module docstring: twice the tan13 mass of [0, atan(s^{3/2})]."""
+    """Phi(s) of the module docstring: twice the tan13 mass of [0, atan(s^{3/2})],
+    by its series at s < 1/4 only."""
+    out = 0.5 * np.log1p(-3 * s / (1 + s) ** 2) + _SQRT3 * np.arctan2(_SQRT3 * s, 2 - s)
+    low = s < 0.25
+    s = s[low]
     c = s ** 3
     series = np.full_like(s, _PHI_SERIES[-1])
     for a in _PHI_SERIES[-2::-1]:
         series = a - c * series
-    closed = 0.5 * np.log1p(-3 * s / (1 + s) ** 2) + _SQRT3 * np.arctan2(_SQRT3 * s, 2 - s)
-    return np.where(s < 0.25, 3 * s * s * series, closed)
+    out[low] = 3 * s * s * series
+    return out
 
 
 def _psi(w):

@@ -32,7 +32,8 @@ phase-transition grids to 323264, 232830 and 232831 iterations before the
 radius-0 QR set-up and polish (99139 at 16 with both, the m = N cells
 taking none), and 10 near-field solves (B=12, s=16, m=200, eps=1e-3, both
 measures, seeds 0-4) to 10318, 10011 and 6378 before the ball polish (860
-at 16 with it), with every trial's success unchanged.
+at 16 with it, 600 with its Newton phase steps), with every trial's success
+unchanged.
 
 Every 10th iteration also tries a polish, as in OSQP (Stellato et al.
 2020), on S = supp(z) when 0 < |S| <= m and A_S = Q R passes the rank cut.
@@ -45,9 +46,22 @@ sign(x_S) on S and must be at most 1 off S: a dual certificate (Fuchs
 2004). At a positive radius, with d = ||y - Q Q* y|| < radius and unit
 phases sigma on S, x_S = R^-1 (Q* y - t v), v = R^-* sigma and
 t = sqrt(radius^2 - d^2)/||v||, has a residual e with ||e|| = radius and
-A_S* e = t sigma. sigma starts at the phases of z and takes those of x_S
-while the duality gap against the dual point e/||A* e||_inf falls; the
-lowest gap must be within the tolerance.
+A_S* e = t sigma. With sigma = exp(i phi), the KKT point on S is the root of
+F(phi) = arg(x_S conj(sigma)). sigma starts at the phases of z and takes
+Newton steps on F, with the real |S| x |S| Jacobian
+Im(conj(x_S) dx_S/dphi)/|x_S|^2 - I, while the duality gap against the dual
+point e/||A* e||_inf falls, at most 8; the lowest gap must be within the
+tolerance, and a singular Jacobian fails the attempt. (The plain step
+sigma <- sign(x_S) is expanding near the root, so it certified only from
+phases already accurate to the tolerance.)
+
+The set-up also gives the minimum-norm least-squares point of A x = y
+(`SolverResult.least_squares`, built on demand): the QR point, W* V* y on
+the QR basis, and on an eigen- or SVD basis refinement steps
+x += W* ((V* y - W x)/lam) from x = 0 while the correction shrinks. The kept
+lam exceed lam_max max(m, N) eps, so eps cond(A)^2 < 1/max(m, N) and each
+step contracts the error by at least that factor; the first step alone is
+off by about eps cond(A)^2.
 
 One tolerance tol sets the primal slack radius + tol (1 + ||y||), both
 residual tests (sqrt(N) tol plus tol times the size of the iterates) and
@@ -62,7 +76,9 @@ The l1 objective is the sum of complex moduli throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -76,6 +92,8 @@ _PENALTY = 16.0          # initial ADMM penalty rho, rebalanced as the loop runs
 _OVER_RELAXATION = 1.6
 _SECULAR_STEPS = 50      # cap on the Newton steps of one ball projection
 _SECULAR_TOLERANCE = 1e-9
+_REFINE_STEPS = 8        # cap on the refinement steps of one least-squares point
+_NEWTON_STEPS = 8        # cap on the phase steps of one ball polish
 
 
 @dataclass
@@ -86,8 +104,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.tolerance > 0:   # false for NaN too
-            raise ValueError("tolerance must be positive")
+        # false for NaN too; at tol >= 1 the primal slack admits x = 0
+        if not 0 < self.tolerance < 1:
+            raise ValueError("tolerance must be in (0, 1)")
 
 
 @dataclass
@@ -100,10 +119,20 @@ class SolverResult:
     status: str = CONVERGED
     penalty: float = _PENALTY    # final ADMM penalty rho, after rebalancing
     rebalances: int = 0          # number of times rho was changed
+    # the least-squares point of the solve's set-up, computed when asked for
+    _least_squares: Callable[[], np.ndarray] | None = field(default=None, repr=False,
+                                                          compare=False)
 
     @property
     def objective(self) -> float:
         return float(np.sum(np.abs(self.x)))
+
+    def least_squares(self) -> np.ndarray:
+        """The minimum-norm least-squares point of the solved system A x = y,
+        from the solve's own set-up (see `_DataBall.least_squares`)."""
+        if self._least_squares is None:
+            raise ValueError("this result holds no solver set-up")
+        return self._least_squares()
 
 
 def _shrink(z: np.ndarray, tau: float) -> np.ndarray:
@@ -184,6 +213,24 @@ class _DataBall:
             c *= mu / (1.0 + mu * lam)
         return q - (c.conj() @ self.W).conj()
 
+    def least_squares(self) -> np.ndarray:
+        """The minimum-norm least-squares point of A x = y, truncated at the
+        set-up's rank cut, as in the module docstring."""
+        if self.point is not None:
+            return self.point
+        if self.lam is None:
+            return (self.Vty.conj() @ self.W).conj()
+        x = np.zeros(self.W.shape[1], dtype=complex)
+        size = math.inf
+        for _ in range(_REFINE_STEPS):
+            dx = (((self.Vty - self.W @ x) / self.lam).conj() @ self.W).conj()
+            dx_norm = _norm(dx)
+            if not dx_norm < size:
+                break
+            x += dx
+            size = dx_norm
+        return x
+
 
 def _duality_gap(A: np.ndarray, y: np.ndarray, radius: float, objective: float,
                  e: np.ndarray) -> float:
@@ -216,10 +263,13 @@ def _polish(A: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, radius: 
         h = radius * radius - _norm(y - Q @ Qy) ** 2
         if h <= 0.0:
             return None
+        Ri = np.linalg.inv(R)
+        Rh = Ri.conj().T    # R^-*
         gap, sigma = math.inf, z[S] / np.abs(z[S])
-        while True:
-            v = np.linalg.solve(R.conj().T, sigma)
-            p = np.linalg.solve(R, Qy - (math.sqrt(h) / _norm(v)) * v)
+        for _ in range(_NEWTON_STEPS):
+            v = Rh @ sigma
+            t = math.sqrt(h) / _norm(v)
+            p = Ri @ (Qy - t * v)
             e = y - A_S @ p
             g = _duality_gap(A, y, radius, float(np.sum(np.abs(p))), e)
             if not g < gap:
@@ -227,7 +277,17 @@ def _polish(A: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, radius: 
             gap, x_S, misfit = g, p, _norm(e)
             if not np.all(p):
                 break
-            sigma = p / np.abs(p)
+            # Newton on F(phi) = arg(x_S conj(sigma)), sigma = exp(i phi):
+            # column j of dv holds dv/dphi_j = R^-* (i sigma_j e_j)
+            dv = Rh * (1j * sigma)
+            dt = -t * (v.conj() @ dv).real / _norm(v) ** 2
+            dp = -Ri @ (np.outer(v, dt) + t * dv)
+            J = (p.conj()[:, None] * dp).imag / (np.abs(p) ** 2)[:, None] - np.eye(S.size)
+            try:
+                step = np.linalg.solve(J, np.angle(p * sigma.conj()))
+            except np.linalg.LinAlgError:
+                return None
+            sigma = sigma * np.exp(-1j * step)
         if not gap <= gap_tolerance:
             return None
     if misfit > slack or not np.all(x_S):
@@ -255,7 +315,8 @@ def bpdn_ball(
     N = A.shape[1]
     y_norm = _norm(y)
     if y_norm <= radius:
-        return SolverResult(x=np.zeros(N, dtype=complex))
+        return SolverResult(x=np.zeros(N, dtype=complex),
+                            _least_squares=lambda: _DataBall(A, y, 0.0).least_squares())
 
     tol = cfg.tolerance
     slack = radius + tol * (1.0 + y_norm)
@@ -263,11 +324,12 @@ def bpdn_ball(
     if ball.distance > slack:
         # confirm on an SVD basis, cut on sigma as lstsq does
         ball = _DataBall(A, y, radius, exact_rank=True)
-        if ball.distance > slack:
-            return SolverResult(x=ball.project(np.zeros(N, dtype=complex)), status=INFEASIBLE,
-                                primal_residual=ball.distance, dual_residual=float("inf"))
+    result = partial(SolverResult, _least_squares=ball.least_squares)
+    if ball.distance > slack:
+        return result(x=ball.project(np.zeros(N, dtype=complex)), status=INFEASIBLE,
+                      primal_residual=ball.distance, dual_residual=float("inf"))
     if ball.point is not None:    # the feasible set is one point
-        return SolverResult(x=ball.point, primal_residual=ball.distance)
+        return result(x=ball.point, primal_residual=ball.distance)
 
     rho, rebalances, alpha = _PENALTY, 0, _OVER_RELAXATION
     # absolute part of the stopping tests; the relative parts scale with
@@ -290,14 +352,14 @@ def bpdn_ball(
             continue    # the dual residual would not be read
         s_norm = rho * _norm(z - z_old)
         if primal_ok and s_norm < abs_tol + tol * rho * _norm(u):
-            return SolverResult(x=z, iterations=it, primal_residual=r_norm,
-                                dual_residual=s_norm, status=CONVERGED, penalty=rho,
-                                rebalances=rebalances)
+            return result(x=z, iterations=it, primal_residual=r_norm,
+                          dual_residual=s_norm, status=CONVERGED, penalty=rho,
+                          rebalances=rebalances)
         # x - q = -W* g c, so rho (x - q) lies in range(A*)
         polished = rebalance and _polish(A, y, z, rho * (x - q), radius, slack, tol)
         if polished:
-            return SolverResult(x=polished[0], iterations=it, primal_residual=polished[1],
-                                penalty=rho, rebalances=rebalances)
+            return result(x=polished[0], iterations=it, primal_residual=polished[1],
+                          penalty=rho, rebalances=rebalances)
         # rebalance only every few iterations: per-iteration rescaling of the
         # scaled dual can lock the iteration into a limit cycle
         if rebalance and max(r_norm, s_norm) > 10.0 * min(r_norm, s_norm):
@@ -305,6 +367,5 @@ def bpdn_ball(
             rho *= scale
             u /= scale
             rebalances += 1
-    return SolverResult(x=z, iterations=cfg.max_iterations, primal_residual=r_norm,
-                        dual_residual=s_norm, status=MAX_ITER, penalty=rho,
-                        rebalances=rebalances)
+    return result(x=z, iterations=cfg.max_iterations, primal_residual=r_norm,
+                  dual_residual=s_norm, status=MAX_ITER, penalty=rho, rebalances=rebalances)

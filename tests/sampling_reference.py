@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from so3sparse.sampling import PRODUCT, TAN13
+from so3sparse.sampling import _PHI_SERIES, _SQRT3, PRODUCT, TAN13
 
 
 def theta_cdf(measure, theta):
@@ -49,3 +49,14 @@ def tan13_quantile(u):
     e = np.arctan2(np.sqrt(betaincinv(1 / 3, 2 / 3, 1.0 - 2.0 * v)),
                    np.sqrt(betaincinv(2 / 3, 1 / 3, 2.0 * v)))
     return math.pi / 2 - np.sign(0.5 - u) * e
+
+
+def phi_everywhere(s):
+    """sampling._phi with its series summed at every point and kept where
+    s < 1/4: the quantile must give the same theta, bit for bit, on it."""
+    c = s ** 3
+    series = np.full_like(s, _PHI_SERIES[-1])
+    for a in _PHI_SERIES[-2::-1]:
+        series = a - c * series
+    closed = 0.5 * np.log1p(-3 * s / (1 + s) ** 2) + _SQRT3 * np.arctan2(_SQRT3 * s, 2 - s)
+    return np.where(s < 0.25, 3 * s * s * series, closed)

@@ -194,8 +194,8 @@ def test_08_nearfield_l1_vs_least_squares_separation():
                                         experiments.COMPLEX_GAUSSIAN, rng)
         A = nearfield.build_dictionary(B, nearfield.default_probe_weights(), sched)
         y = A @ values
-        rec, _ = nearfield.recover_transmission(A, sched, y, cfg=tight)
-        ls = nearfield.baseline_least_squares(A, sched, y)
+        rec, res = nearfield.recover_transmission(A, sched, y, cfg=tight)
+        ls = res.least_squares()
         nrm = np.linalg.norm(values)
         errs_l1.append(np.linalg.norm(rec - values) / nrm)
         errs_ls.append(np.linalg.norm(ls - values) / nrm)

@@ -97,6 +97,11 @@ def test_nearfield_sim_rejects_sparsity_outside_range(s, tmp_path, capsys):
     ["nearfield-sim", "--B", "2", "--s", "3", "--m", "40", "--epsilon", "-1"],
     ["recover", "--problem-dir", "{problem}", "--radius", "inf"],
     ["recover", "--problem-dir", "{problem}", "--radius", "-1"],
+    # from tol = 1 on, the primal slack radius + tol (1 + ||y||) admits x = 0
+    ["recover", "--problem-dir", "{problem}", "--tol", "inf"],
+    ["recover", "--problem-dir", "{problem}", "--tol", "1e300"],
+    ["recover", "--problem-dir", "{problem}", "--tol", "1"],
+    ["recover", "--problem-dir", "{problem}", "--tol", "0"],
 ])
 def test_nan_radius_or_tolerance_exit_code(argv, tmp_path, capsys):
     # NaN fails every comparison, so the checks must ask for membership
@@ -106,9 +111,9 @@ def test_nan_radius_or_tolerance_exit_code(argv, tmp_path, capsys):
     assert cli.run(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("error: config:") == 1
-    for flag in ("--epsilon", "--radius"):
+    for flag, bound in (("--epsilon", ">= 0"), ("--radius", ">= 0"), ("--tol", "> 0 and < 1")):
         if flag in argv:
-            assert f"{flag} must be a finite number >= 0" in err
+            assert f"{flag} must be a finite number {bound}" in err
     assert not out.exists()
 
 

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so3sparse import sampling
+from so3sparse import sampling, solver
 from so3sparse.experiments import COMPLEX_GAUSSIAN, gen_sparse
 from so3sparse.nearfield import (
     CHI_SET,
-    baseline_least_squares,
     build_dictionary,
     coefficient_count,
     coefficient_index,
@@ -19,7 +18,7 @@ from so3sparse.nearfield import (
     recover_transmission,
     weight_condition,
 )
-from so3sparse.sensing import build_matrix, precondition
+from so3sparse.sensing import add_noise, build_matrix, precondition
 from so3sparse.solver import SolverConfig
 from so3sparse.wigner import _SLICE, WignerIndex
 from wigner_reference import wigner_D
@@ -220,8 +219,8 @@ def test_l1_beats_least_squares_underdetermined():
         values = gen_sparse(coefficient_count(B), s, COMPLEX_GAUSSIAN, rng)
         A = _dictionary(B, sched)
         y = A @ values
-        rec, _ = recover_transmission(A, sched, y, cfg=TIGHT)
-        ls = baseline_least_squares(A, sched, y)
+        rec, res = recover_transmission(A, sched, y, cfg=TIGHT)
+        ls = res.least_squares()
         nrm = np.linalg.norm(values)
         errs_l1.append(np.linalg.norm(rec - values) / nrm)
         errs_ls.append(np.linalg.norm(ls - values) / nrm)
@@ -237,14 +236,60 @@ def test_least_squares_overdetermined_exact():
     sched = make_schedule(rng, 3 * n)
     values = gen_sparse(n, 3, COMPLEX_GAUSSIAN, rng)
     A = _dictionary(B, sched)
-    ls = baseline_least_squares(A, sched, A @ values)
+    ls = recover_transmission(A, sched, A @ values)[1].least_squares()
     assert np.linalg.norm(ls - values) / np.linalg.norm(values) < 1e-10
 
 
 def test_least_squares_zero_data():
     sched = make_schedule(np.random.default_rng(6), 8)
-    ls = baseline_least_squares(_dictionary(2, sched), sched, np.zeros(8, dtype=complex))
-    np.testing.assert_allclose(ls, 0, atol=1e-14)
+    _, res = recover_transmission(_dictionary(2, sched), sched, np.zeros(8, dtype=complex))
+    np.testing.assert_allclose(res.least_squares(), 0, atol=1e-14)
+
+
+def _draw(seed, measure, eps, B=12, s=16, m=200):
+    """A near-field draw as `nearfield-sim` makes it: dictionary, schedule,
+    the planted vector and the noisy samples."""
+    rng = np.random.default_rng(seed)
+    sched = make_schedule(rng, m, measure)
+    values = gen_sparse(coefficient_count(B), s, COMPLEX_GAUSSIAN, rng)
+    A = _dictionary(B, sched)
+    y = A @ values
+    if eps > 0:
+        y = add_noise(y, eps, rng)
+    return A, sched, values, y
+
+
+@pytest.mark.parametrize("measure", sampling.MEASURES)
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_least_squares_matches_lstsq(measure, eps):
+    # the solve's set-up gives the minimum-norm least-squares point of the
+    # preconditioned system: the QR basis at eps = 0, refinement steps on
+    # the eigenbasis at eps > 0, where W* (V* y / lam) alone is off by 1e-5
+    for seed in (0, 1):
+        A, sched, _, y = _draw(seed, measure, eps)
+        _, res = recover_transmission(A, sched, y, epsilon=eps)
+        system = precondition(sched, A, y, eps)
+        ls = np.linalg.lstsq(system.A, system.y, rcond=None)[0]
+        assert np.linalg.norm(res.least_squares() - ls) <= 1e-10 * np.linalg.norm(ls)
+
+
+def test_ball_polish_certifies_once_the_support_is_final(monkeypatch):
+    # a product draw at B=12, m=200 whose ball solve stalls: the expanding
+    # phase step sigma <- sign(x_S) fails 31 polishes on the final support
+    # before one certifies, and Newton on the phases certifies the first
+    attempts, polish = [], solver._polish
+
+    def spy(A, y, z, *args):
+        out = polish(A, y, z, *args)
+        attempts.append((tuple(np.flatnonzero(z)), out is not None))
+        return out
+
+    monkeypatch.setattr(solver, "_polish", spy)
+    A, sched, _, y = _draw(3964924996, sampling.PRODUCT, 1e-3)
+    rec, res = recover_transmission(A, sched, y, epsilon=1e-3)
+    assert res.status == "Converged" and res.dual_residual == 0.0    # a polish
+    final = [ok for S, ok in attempts if S == tuple(np.flatnonzero(rec))]
+    assert final == [True]
 
 
 def test_recover_with_noise_stays_feasible():

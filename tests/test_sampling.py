@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import beta
 from scipy.stats import chisquare, kstest
 
-from sampling_reference import tan13_quantile, theta_cdf
+from sampling_reference import phi_everywhere, tan13_quantile, theta_cdf
 from so3sparse import sampling
 from so3sparse.sampling import (
     Samples,
@@ -154,16 +154,20 @@ def test_quantile_properties(measure, u1, u2):
     assert theta_quantile(measure, 0.5) == math.pi / 2
 
 
-def test_tan13_quantile_matches_betaincinv():
+def test_tan13_quantile_matches_betaincinv(monkeypatch):
     # the closed-form Newton quantile and the test-side incomplete-beta
     # inverse are two routes to one function; each is within about 2 ulp
     # of a 40-digit oracle, so they may differ by a few ulp(pi/2)
     ulp = np.spacing(math.pi / 2)
     k = np.arange(4096) * 2.0**-53
-    for u in (np.random.default_rng(3).uniform(0.0, 1.0, 200_000),
-              k, 0.5 - k, 0.5 + k, 1.0 - k):
-        diff = np.abs(theta_quantile(sampling.TAN13, u) - tan13_quantile(u))
-        assert diff.max() <= 8 * ulp
+    grids = (np.random.default_rng(3).uniform(0.0, 1.0, 200_000), k, 0.5 - k, 0.5 + k, 1.0 - k)
+    thetas = [theta_quantile(sampling.TAN13, u) for u in grids]
+    for u, theta in zip(grids, thetas):
+        assert np.abs(theta - tan13_quantile(u)).max() <= 8 * ulp
+    # Phi sums its series only where s < 1/4, and theta keeps every bit
+    monkeypatch.setattr(sampling, "_phi", phi_everywhere)
+    for u, theta in zip(grids, thetas):
+        np.testing.assert_array_equal(theta_quantile(sampling.TAN13, u), theta)
 
 
 def test_tan13_quantile_symmetry_and_endpoints():

@@ -248,6 +248,38 @@ def test_tall_repeated_column_falls_back_to_admm():
     assert rep.feasibility_gap < 1e-8 and rep.dual_violation < 1e-6
 
 
+def _least_squares_cases():
+    """(A, y, radius) that reach each set-up, by name."""
+    rng = np.random.default_rng(22)
+    A, _, y = _planted(rng, 20, 50, 3)
+    tall = _tall(rng)
+    rows = _repeated_rows(rng)
+    x = gen_sparse(12, 3, COMPLEX_GAUSSIAN, rng)
+    for name, A, y, radius in (
+            ("qr-basis", A, y, 0.0),
+            ("eigenbasis", A, y, 0.05 * np.linalg.norm(y)),
+            ("early-exit", A, y, 2.0 * np.linalg.norm(y)),
+            ("zero-y", A, np.zeros(20, dtype=complex), 0.0),
+            ("qr-point", tall, tall @ x, 0.0),
+            ("tall-eigenbasis", tall, _off_range(rng, tall, 0.1), 0.2),
+            ("rank-deficient", rows, rows @ np.arange(10, dtype=complex), 0.0),
+            ("svd-basis", rows, rng.standard_normal(7) + 1j * rng.standard_normal(7), 0.0)):
+        yield pytest.param(name, A, y, radius, id=name)
+
+
+@pytest.mark.parametrize("name, A, y, radius", list(_least_squares_cases()))
+def test_least_squares_from_the_solve_set_up(name, A, y, radius):
+    res = bpdn_ball(A, y, radius)
+    assert (res.status == INFEASIBLE) == (name == "svd-basis")
+    ls = np.linalg.lstsq(A, y, rcond=None)[0]
+    assert np.linalg.norm(res.least_squares() - ls) <= 1e-10 * np.linalg.norm(ls)
+
+
+def test_least_squares_needs_a_set_up():
+    with pytest.raises(ValueError, match="set-up"):
+        solver.SolverResult(x=np.zeros(3, dtype=complex)).least_squares()
+
+
 @given(m=st.integers(1, 8), extra=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_qr_basis_projection_is_pseudo_inverse_step(m, extra, seed):
     # wide full row rank at radius 0: the QR basis of A* gives q - A+(A q - y)
@@ -541,7 +573,7 @@ def test_check_optimality_planted_and_perturbed():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    for tolerance in (0.0, math.nan):
+    for tolerance in (0.0, math.nan, 1.0, math.inf):
         with pytest.raises(ValueError, match="tolerance"):
             SolverConfig(tolerance=tolerance)
     for radius in (-1.0, math.nan):
