@@ -43,6 +43,13 @@ def _fmt_c(v: complex) -> str:
     return f"{FMT % v.real},{FMT % v.imag}"
 
 
+def _finite_part(v) -> float:
+    """A probe weight's real or imaginary part: a finite number, not a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValueError(f"weight part {v!r} is not a finite number")
+    return v
+
+
 def _write(ns, name: str, header: str, lines=()) -> None:
     """Write one output file, making the output directory on first write:
     a run rejected before its first write leaves no directory behind."""
@@ -193,10 +200,10 @@ def _cmd_nearfield_sim(ns) -> int:
             if not isinstance(raw, dict):
                 raise ValueError(f"a {type(raw).__name__}, not a JSON object")
             weights = {
-                tuple(int(t) for t in key.split(",")): complex(re, im)
+                tuple(int(t) for t in key.split(",")): complex(_finite_part(re), _finite_part(im))
                 for key, (re, im) in raw.items()
             }
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad probe-weights file: {exc}")
     weights = weights or nearfield.default_probe_weights()
     ncoef = nearfield.coefficient_count(ns.B)

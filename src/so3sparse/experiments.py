@@ -36,7 +36,6 @@ __all__ = [
     "phase_transition",
     "contour_half_success",
     "bound_scan",
-    "weighted_sup_profile",
 ]
 
 
@@ -273,10 +272,3 @@ def bound_scan(B_list: list[int]):
     slope = float(np.polyfit(logN, logS, 1)[0]) if len(rows) > 1 else float("nan")
     return rows, slope
 
-
-def weighted_sup_profile(l_max: int) -> np.ndarray:
-    """Per degree l <= l_max, sup over (k, n) and theta of
-    (sin theta)^{1/2} |d_l^{k,n}| * (2l+1)^{1/4}."""
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0, got {l_max}")
-    return _degree_sups(l_max) * (2 * np.arange(l_max + 1) + 1) ** 0.25

@@ -28,7 +28,6 @@ __all__ = [
     "build_matrix",
     "add_noise",
     "precondition",
-    "gram_matrix",
     "gram_deviation",
     "save_problem",
     "load_problem",
@@ -90,8 +89,8 @@ def precondition(
 
 
 def _gram_quadrature(B: int, measure: str | None):
-    """1-D rules of gram_matrix's tensor grid: theta nodes and weights, then
-    the uniform angle nodes and weights that phi and chi share."""
+    """1-D rules of the Gram check's tensor grid: theta nodes and weights,
+    then the uniform angle nodes and weights that phi and chi share."""
     if B < 1:
         raise ValueError(f"bandwidth must be >= 1, got {B}")
     x, wx = np.polynomial.legendre.leggauss(B + 1)
@@ -100,15 +99,11 @@ def _gram_quadrature(B: int, measure: str | None):
         w_theta = wx                                   # sin(theta) dtheta = dx
     else:
         # integrand carries weight(theta)^2 * density = sin(theta); pull the
-        # sin back out of dx = sin(theta) dtheta so roundoff is the only error
+        # sin back out of dx = sin(theta) dtheta so roundoff is the only error;
+        # the nodes are interior and cos(theta) != 0 at fl(pi/2), so all is finite
         dens = sampling.theta_density(measure, theta)
         p2 = preconditioner_weight(measure, theta) ** 2
-        comb = p2 * dens
-        # tan13 density diverges at theta = pi/2 while the weight vanishes;
-        # the product has the finite limit sin(theta)
-        bad = ~np.isfinite(comb)
-        comb[bad] = np.sin(theta[bad])
-        w_theta = wx * comb / np.sin(theta)
+        w_theta = wx * (p2 * dens) / np.sin(theta)
     Q = 4 * B
     return theta, w_theta, 2 * math.pi * np.arange(Q) / Q, np.full(Q, 2 * math.pi / Q)
 
@@ -131,8 +126,7 @@ def _gram_factors(B: int, theta, w_theta, angle, w_angle):
     a's position there. Every entry is that same weighted sum, computed from
     the nodes and weights: orthogonality is checked, never assumed.
 
-    _separable_gram reads the full G from these factors; _gram_deviation
-    streams row blocks of |G| and holds no N x N array.
+    _gram_deviation streams row blocks of |G| and holds no N x N array.
     """
     zero = np.zeros_like(theta)
     D = evaluate_basis(B, theta, zero, zero).real      # N_l d_l^{k,n}(theta_i)
@@ -141,15 +135,6 @@ def _gram_factors(B: int, theta, w_theta, angle, w_angle):
     pos = np.arange((2 * B - 1) ** 2).reshape(2 * B - 1, 2 * B - 1)
     c = np.concatenate([pos[B - 1 - l:B + l, B - 1 - l:B + l].ravel() for l in range(B)])
     return D, w_theta[:, None] * D, np.kron(S, S), c
-
-
-def _separable_gram(B: int, theta, w_theta, angle, w_angle) -> np.ndarray:
-    """Gram matrix of the bandwidth-B basis on the grid theta x angle x angle
-    (phi, then chi) with weights w_theta[i] w_angle[j] w_angle[q]."""
-    D, wD, K, c = _gram_factors(B, theta, w_theta, angle, w_angle)
-    G = (D.T @ wD) * K[np.ix_(c, c)]
-    # G_ab and conj(G_ba) differ by roundoff; their mean is exactly Hermitian
-    return 0.5 * (G + G.conj().T)
 
 
 def _gram_deviation(B: int, theta, w_theta, angle, w_angle) -> tuple[float, float]:
@@ -168,8 +153,11 @@ def _gram_deviation(B: int, theta, w_theta, angle, w_angle) -> tuple[float, floa
     return float(off), float(diag_dev)
 
 
-def gram_matrix(B: int, measure: str | None = None) -> np.ndarray:
-    """Quadrature Gram matrix of the bandwidth-B basis; identity if exact.
+def gram_deviation(B: int, measure: str | None = None) -> tuple[float, float]:
+    """(max_offdiag, max_diag_dev): the largest |G_ab| over a != b and the
+    largest |G_aa - 1| of the quadrature Gram matrix of the bandwidth-B
+    basis, identity if exact, streamed over row blocks of its factors so
+    that no N x N array is allocated.
 
     measure None: raw Wigner-D functions against sin(theta) d(theta, phi, chi).
     measure "product"/"tan13": preconditioned functions against the
@@ -180,13 +168,6 @@ def gram_matrix(B: int, measure: str | None = None) -> np.ndarray:
     grids, exact for the trigonometric frequencies present. The sum over
     the (B+1) x 4B x 4B grid is separated as in `_gram_factors`.
     """
-    return _separable_gram(B, *_gram_quadrature(B, measure))
-
-
-def gram_deviation(B: int, measure: str | None = None) -> tuple[float, float]:
-    """(max_offdiag, max_diag_dev): the largest |G_ab| over a != b and the
-    largest |G_aa - 1| of gram_matrix(B, measure)'s sum, streamed over row
-    blocks of its factors so that no N x N array is allocated."""
     return _gram_deviation(B, *_gram_quadrature(B, measure))
 
 

@@ -8,19 +8,10 @@ All evaluators accept scalars or numpy arrays for the angular arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "WignerIndex",
-    "basis_count",
-    "all_indices",
-    "wigner_d",
-    "wigner_D",
-    "spherical_harmonic",
-    "evaluate_basis",
-]
+__all__ = ["basis_count", "wigner_d", "wigner_D", "evaluate_basis"]
 
 
 def basis_count(B: int) -> int:
@@ -28,40 +19,6 @@ def basis_count(B: int) -> int:
     if B < 1:
         raise ValueError(f"bandwidth must be >= 1, got {B}")
     return B * (2 * B - 1) * (2 * B + 1) // 3
-
-
-@dataclass(frozen=True)
-class WignerIndex:
-    """One basis function (l, k, n) within a bandwidth-B expansion."""
-
-    l: int
-    k: int
-    n: int
-    B: int
-
-    def __post_init__(self):
-        if not 1 <= self.B:
-            raise ValueError(f"bandwidth must be >= 1, got {self.B}")
-        if not 0 <= self.l < self.B:
-            raise ValueError(f"degree l={self.l} outside [0, {self.B - 1}]")
-        if abs(self.k) > self.l or abs(self.n) > self.l:
-            raise ValueError(f"orders (k={self.k}, n={self.n}) exceed degree l={self.l}")
-
-    @property
-    def column(self) -> int:
-        """Linearized column index, a bijection onto {0, ..., N-1}."""
-        l, k, n = self.l, self.k, self.n
-        return l * (2 * l - 1) * (2 * l + 1) // 3 + (k + l) * (2 * l + 1) + (n + l)
-
-
-def all_indices(B: int) -> list[WignerIndex]:
-    """All indices of the bandwidth-B basis in canonical column order."""
-    return [
-        WignerIndex(l, k, n, B)
-        for l in range(B)
-        for k in range(-l, l + 1)
-        for n in range(-l, l + 1)
-    ]
 
 
 def _check_angles(theta, phi=0.0, chi=0.0) -> None:
@@ -100,18 +57,6 @@ def wigner_D(l: int, k: int, n: int, theta, phi, chi):
         * np.exp(-1j * (k * phi + n * chi))
         * wigner_d(l, k, n, theta)
     )
-
-
-def spherical_harmonic(l: int, k: int, theta, phi):
-    """Spherical harmonic Y_l^k(theta, phi), Condon-Shortley convention.
-
-    Obtained from the order-zero Wigner-D function: the chi-independent
-    slice D_l^{-k,0}(theta, phi, 0) equals (-1)^k Y_l^k / sqrt(2 pi).
-    """
-    if abs(k) > l:
-        raise ValueError(f"|k|={abs(k)} exceeds degree l={l}")
-    sign = float((-1) ** (k % 2))
-    return sign * math.sqrt(2.0 * math.pi) * wigner_D(l, -k, 0, theta, phi, 0.0)
 
 
 _SLICE = 512  # points per run of _wigner_d_lanes: keeps its working arrays small

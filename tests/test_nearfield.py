@@ -20,8 +20,8 @@ from so3sparse.nearfield import (
 )
 from so3sparse.sensing import add_noise, build_matrix, precondition
 from so3sparse.solver import SolverConfig
-from so3sparse.wigner import _SLICE, WignerIndex
-from wigner_reference import wigner_D
+from so3sparse.wigner import _SLICE
+from wigner_reference import column, wigner_D
 
 TIGHT = SolverConfig(tolerance=1e-9)
 WEIGHTS = default_probe_weights()
@@ -106,7 +106,7 @@ def test_dictionary_matches_weighted_sensing_matrices():
             for k in range(-l, l + 1):
                 col = np.zeros(4, dtype=complex)
                 for n in (-1, 1):
-                    col += WEIGHTS[(h, n)] * full[:, WignerIndex(l, k, n, B + 1).column]
+                    col += WEIGHTS[(h, n)] * full[:, column(l, k, n)]
                 np.testing.assert_allclose(
                     A[:, coefficient_index(h, l, k, B)], col, atol=1e-12
                 )
@@ -157,7 +157,7 @@ def test_dictionary_row_blocks_match_one_pass():
             for k in range(-l, l + 1):
                 for n in (-1, 1):
                     ref[:, coefficient_index(h, l, k, B)] += (
-                        WEIGHTS[(h, n)] * full[:, WignerIndex(l, k, n, B + 1).column])
+                        WEIGHTS[(h, n)] * full[:, column(l, k, n)])
     np.testing.assert_allclose(_dictionary(B, sched), ref, rtol=0, atol=1e-13)
 
 

@@ -10,18 +10,17 @@ from so3sparse.sampling import Samples, preconditioner_weight
 from so3sparse.sensing import (
     SensingProblem,
     _gram_deviation,
+    _gram_factors,
     _gram_quadrature,
-    _separable_gram,
     add_noise,
     build_matrix,
     gram_deviation,
-    gram_matrix,
     load_problem,
     precondition,
     save_problem,
 )
-from so3sparse.wigner import _SLICE, all_indices, basis_count, evaluate_basis
-from wigner_reference import wigner_D
+from so3sparse.wigner import _SLICE, basis_count, evaluate_basis
+from wigner_reference import column, indices, wigner_D
 
 
 def _points(rng, m, measure=sampling.PRODUCT):
@@ -75,12 +74,12 @@ def test_forward_matches_term_by_term_sum():
     y = build_matrix(pts, B) @ g
     # brute-force triple-loop summation over (l, k, n)
     expected = np.zeros(4, dtype=complex)
-    for idx in all_indices(B):
-        c = g[idx.column]
+    for l, k, n in indices(B):
+        c = g[column(l, k, n)]
         if c == 0:
             continue
         for i, (t, p, ch) in enumerate(zip(pts.theta, pts.phi, pts.chi)):
-            expected[i] += c * wigner_D(idx.l, idx.k, idx.n, t, p, ch)
+            expected[i] += c * wigner_D(l, k, n, t, p, ch)
     np.testing.assert_allclose(y, expected, atol=1e-12)
 
 
@@ -221,9 +220,20 @@ def test_load_problem_rejects_mixed_measures_and_ignores_scale(tmp_path):
             load_problem(tmp_path)
 
 
-def test_gram_matrix_rejects_zero_bandwidth():
+def test_gram_deviation_rejects_zero_bandwidth():
     with pytest.raises(ValueError):
-        gram_matrix(0)
+        gram_deviation(0)
+
+
+@pytest.mark.parametrize("measure", [sampling.PRODUCT, sampling.TAN13])
+def test_gram_theta_weights_are_legendre_weights(measure):
+    # weight^2 * density = sin(theta) at every node, fl(pi/2) of even B included
+    for B in range(1, 65):
+        theta, w_theta, _, _ = _gram_quadrature(B, measure)
+        wx = np.polynomial.legendre.leggauss(B + 1)[1]
+        assert np.all(np.isfinite(w_theta))
+        assert B % 2 or math.pi / 2 in theta
+        np.testing.assert_allclose(w_theta, wx, rtol=1e-14, atol=0)
 
 
 def _meshed_gram(B, theta, w_theta, angle, w_angle):
@@ -233,6 +243,19 @@ def _meshed_gram(B, theta, w_theta, angle, w_angle):
     weight = (w_theta[:, None, None] * w_angle[:, None] * w_angle).ravel()
     F = np.sqrt(weight)[:, None] * evaluate_basis(B, tt, pp, cc)
     return F.conj().T @ F
+
+
+def _separable_gram(B, theta, w_theta, angle, w_angle):
+    # the full G = (D^T w D) * K[c, c] of the factors the gram check streams;
+    # G_ab and conj(G_ba) differ by roundoff, so their mean is exactly Hermitian
+    D, wD, K, c = _gram_factors(B, theta, w_theta, angle, w_angle)
+    G = (D.T @ wD) * K[np.ix_(c, c)]
+    return 0.5 * (G + G.conj().T)
+
+
+def gram_matrix(B, measure=None):
+    """Quadrature Gram matrix of the bandwidth-B basis; identity if exact."""
+    return _separable_gram(B, *_gram_quadrature(B, measure))
 
 
 def _dense_gram(B, measure):
@@ -269,8 +292,8 @@ def test_separable_gram_is_the_tensor_grid_sum(B):
     rule = _inexact_rule(B)
     G = _separable_gram(B, *rule)
     ref = _meshed_gram(B, *rule)
-    idx = all_indices(B)
-    other_orders = np.array([[(a.k, a.n) != (b.k, b.n) for b in idx] for a in idx])
+    orders = [(k, n) for _, k, n in indices(B)]
+    other_orders = np.array([[a != b for b in orders] for a in orders])
     assert np.abs(ref[other_orders]).max() > 0.1 * np.abs(ref).max()
     np.testing.assert_allclose(G, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
     np.testing.assert_array_equal(G, G.conj().T)

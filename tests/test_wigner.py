@@ -8,17 +8,21 @@ from scipy.linalg import expm
 from scipy.special import lpmv, sph_harm_y
 
 from so3sparse.wigner import (
-    WignerIndex,
     _order_lanes,
     _wigner_d_lanes,
-    all_indices,
     basis_count,
-    spherical_harmonic,
     wigner_D,
     wigner_d,
     evaluate_basis,
 )
-from wigner_reference import jacobi_eval, wigner_D as reference_D, wigner_d as reference_d
+from wigner_reference import (
+    column,
+    indices,
+    jacobi_eval,
+    spherical_harmonic,
+    wigner_D as reference_D,
+    wigner_d as reference_d,
+)
 
 
 def test_basis_count_values():
@@ -33,19 +37,6 @@ def test_basis_count_values():
 def test_basis_count_rejects_zero():
     with pytest.raises(ValueError):
         basis_count(0)
-
-
-def test_index_bijection():
-    for B in (1, 2, 3, 5):
-        cols = [idx.column for idx in all_indices(B)]
-        assert cols == list(range(basis_count(B)))
-
-
-def test_index_validation():
-    with pytest.raises(ValueError):
-        WignerIndex(l=3, k=0, n=0, B=3)
-    with pytest.raises(ValueError):
-        WignerIndex(l=1, k=2, n=0, B=3)
 
 
 def test_jacobi_low_degree():
@@ -168,11 +159,6 @@ def test_spherical_harmonic_against_scipy():
             )
 
 
-def test_spherical_harmonic_rejects_bad_order():
-    with pytest.raises(ValueError):
-        spherical_harmonic(2, 3, 0.1, 0.1)
-
-
 def test_evaluate_basis_matches_pointwise():
     rng = np.random.default_rng(3)
     theta = rng.uniform(0, math.pi, 4)
@@ -180,10 +166,10 @@ def test_evaluate_basis_matches_pointwise():
     chi = rng.uniform(0, 2 * math.pi, 4)
     B = 3
     F = evaluate_basis(B, theta, phi, chi)
-    for idx in all_indices(B):
+    for l, k, n in indices(B):
         np.testing.assert_allclose(
-            F[:, idx.column],
-            reference_D(idx.l, idx.k, idx.n, theta, phi, chi),
+            F[:, column(l, k, n)],
+            reference_D(l, k, n, theta, phi, chi),
             atol=1e-13,
         )
 

@@ -6,7 +6,9 @@ recurrence against:
     d_l^{k,n}(theta) = omega sqrt(gamma) sin(theta/2)^mu cos(theta/2)^lam
                        P_alpha^(mu,lam)(cos theta),
 
-with mu = |k - n|, lam = |k + n|, alpha = l - (mu + lam) / 2.
+with mu = |k - n|, lam = |k + n|, alpha = l - (mu + lam) / 2. Also the
+basis's (l, k, n) column order and the spherical harmonics read off the
+package's Wigner-D, for the tests to index by and check against scipy.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 
 import numpy as np
 from scipy.special import gammaln
+
+from so3sparse import wigner
 
 
 def jacobi_eval(alpha: int, mu: int, lam: int, x):
@@ -86,3 +90,19 @@ def wigner_D(l: int, k: int, n: int, theta, phi, chi):
     return (math.sqrt((2 * l + 1) / (8.0 * math.pi**2))
             * np.exp(-1j * (k * np.asarray(phi) + n * np.asarray(chi)))
             * wigner_d(l, k, n, theta))
+
+
+def indices(B: int):
+    """(l, k, n) of the bandwidth-B basis in canonical column order."""
+    return [(l, k, n) for l in range(B) for k in range(-l, l + 1) for n in range(-l, l + 1)]
+
+
+def column(l: int, k: int, n: int) -> int:
+    """Canonical column of (l, k, n): degree-major, then k, then n."""
+    return l * (2 * l - 1) * (2 * l + 1) // 3 + (k + l) * (2 * l + 1) + (n + l)
+
+
+def spherical_harmonic(l: int, k: int, theta, phi):
+    """Y_l^k(theta, phi), Condon-Shortley convention, from the package's
+    order-zero slice D_l^{-k,0}(theta, phi, 0) = (-1)^k Y_l^k / sqrt(2 pi)."""
+    return (-1) ** (k % 2) * math.sqrt(2.0 * math.pi) * wigner.wigner_D(l, -k, 0, theta, phi, 0.0)
