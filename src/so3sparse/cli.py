@@ -11,6 +11,7 @@ package version and wall time; `rerun <manifest>` reproduces the run
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -282,6 +283,7 @@ def _cmd_rerun(ns) -> None:
     _execute(namespace)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="so3sparse",
                      description="Sparse recovery of Wigner-D expansions on SO(3)")
@@ -355,8 +357,7 @@ def _build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
         return _execute(ns)
     except (ConfigError, ValueError) as exc:

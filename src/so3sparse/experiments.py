@@ -117,14 +117,10 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> tuple[bool, float]:
     return result.status == CONVERGED and rel_err <= cfg.success_threshold, rel_err
 
 
-def _run_cell(payload) -> tuple[int, float]:
-    cfg, cell_index = payload
+def _run_cell(cfg: TrialConfig, cell_index: int) -> float:
+    """Success rate of one grid cell; its trials take the seeds after the earlier cells'."""
     cell_cfg = replace(cfg, base_seed=cfg.base_seed + cell_index * cfg.trials)
-    successes = 0
-    for t in range(cfg.trials):
-        ok, _ = run_trial(cell_cfg, t)
-        successes += ok
-    return cell_index, successes / cfg.trials
+    return sum(run_trial(cell_cfg, t)[0] for t in range(cfg.trials)) / cfg.trials
 
 
 def _one_blas_thread() -> None:
@@ -155,20 +151,13 @@ def phase_transition(
     """Success-rate grid over (m, s) cells; deterministic given the base seed."""
     if not m_values or not s_values:
         raise ValueError("m_values and s_values must be non-empty")
-    jobs = []
-    for i, m in enumerate(m_values):
-        for j, s in enumerate(s_values):
-            idx = i * len(s_values) + j
-            jobs.append((replace(template, m=m, s=s), idx))
-    rates = np.zeros(len(jobs))
+    jobs = [replace(template, m=m, s=s) for m in m_values for s in s_values]
     if threads <= 1:
-        results = map(_run_cell, jobs)
+        rates = list(map(_run_cell, jobs, range(len(jobs))))
     else:
         with ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread) as pool:
-            results = list(pool.map(_run_cell, jobs))
-    for idx, rate in results:
-        rates[idx] = rate
-    grid = rates.reshape(len(m_values), len(s_values))
+            rates = list(pool.map(_run_cell, jobs, range(len(jobs))))
+    grid = np.array(rates).reshape(len(m_values), len(s_values))
     return PhaseTransitionGrid(list(m_values), list(s_values), grid)
 
 

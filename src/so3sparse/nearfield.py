@@ -26,7 +26,7 @@ from . import sampling
 from .sampling import Samples
 from .sensing import precondition
 from .solver import SolverConfig, SolverResult, bpdn_ball
-from .wigner import _SLICE, _norm_factor, _order_lanes, _wigner_d_lanes
+from .wigner import _basis_blocks
 
 __all__ = [
     "coefficient_count",
@@ -86,27 +86,19 @@ def make_schedule(rng: np.random.Generator, m: int, measure: str = sampling.PROD
 def build_dictionary(B: int, probe_weights: dict, samples: Samples) -> np.ndarray:
     """m x 2B(B+2) matrix whose (h, l, k) column is
     sum_n c_{h,n} D_l^{k,n} at the sample points over the keys (h, n) of
-    probe_weights in sorted key order (orders |n| > l skipped). Only the
-    probe-order lanes (k, n), |k| <= B, run the degree recurrence, _SLICE
-    points at a time: 50 of 625 lanes at B = 12 for a first-order probe."""
+    probe_weights in sorted key order (orders |n| > l skipped). The blocks
+    of `_basis_blocks` cover only the probe-order lanes (k, n), |k| <= B:
+    50 of 625 lanes at B = 12 for a first-order probe."""
     _check_probe_weights(probe_weights)
-    orders = np.arange(-B, B + 1)
     probe_orders = sorted({n for (_, n) in probe_weights})
-    k, n, slot = _order_lanes(orders, probe_orders)
     A = np.zeros((len(samples), coefficient_count(B)), dtype=complex)
-    for start in range(0, len(samples), _SLICE):
-        rows = slice(start, start + _SLICE)
-        ephi = np.exp(-1j * np.outer(samples.phi[rows], orders))
-        echi = np.exp(-1j * np.outer(samples.chi[rows], probe_orders))
-        for l, d in _wigner_d_lanes(k, n, samples.theta[rows], B):
-            o = slice(B - l, B + l + 1)
-            phase = _norm_factor(l) * ephi[:, o]
-            for (h, order), c in sorted(probe_weights.items()):
-                if abs(order) <= l:
-                    j = probe_orders.index(order)
-                    first = coefficient_index(h, l, -l, B)
-                    A[rows, first:first + 2 * l + 1] += c * (phase * echi[:, j, None]
-                                                             * d[slot[o, j]].T)
+    for rows, l, block in _basis_blocks(np.arange(-B, B + 1), probe_orders, samples.theta,
+                                        samples.phi, samples.chi, B):
+        present = [n for n in probe_orders if abs(n) <= l]   # the block's n, in order
+        for (h, order), c in sorted(probe_weights.items()):
+            if order in present:
+                first = coefficient_index(h, l, -l, B)
+                A[rows, first:first + 2 * l + 1] += c * block[:, :, present.index(order)]
     return A
 
 

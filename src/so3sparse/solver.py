@@ -27,13 +27,10 @@ cut on sigma, which the solve then uses if y is in the range after all.
 
 The penalty starts at rho_0 = 16 and is rebalanced every 10 iterations
 when the primal and dual residuals differ by 10x (residual balancing,
-He, Yang & Wang 2000). Starts of 1, 4 and 16 took the two 50-trial B=5
-phase-transition grids to 323264, 232830 and 232831 iterations before the
-radius-0 QR set-up and polish (99139 at 16 with both, the m = N cells
-taking none), and 10 near-field solves (B=12, s=16, m=200, eps=1e-3, both
-measures, seeds 0-4) to 10318, 10011 and 6378 before the ball polish (860
-at 16 with it, 600 with its Newton phase steps), with every trial's success
-unchanged.
+He, Yang & Wang 2000). Of the starts 1, 4 and 16, 16 tied with 4 on the
+B=5 phase-transition grids and took the fewest iterations on the B=12
+near-field solves, with every trial's success unchanged; CHANGES.md keeps
+the counts.
 
 Every 10th iteration also tries a polish, as in OSQP (Stellato et al.
 2020), on S = supp(z) when 0 < |S| <= m and A_S = Q R passes the rank cut.

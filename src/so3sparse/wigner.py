@@ -132,13 +132,29 @@ def _order_lanes(k_orders, n_orders):
     return kk.ravel()[lane_pos], nn.ravel()[lane_pos], slot.reshape(kk.shape)
 
 
+def _basis_blocks(k_orders, n_orders, theta, phi, chi, l_max: int):
+    """Yield (rows, l, block) for l = 0..l_max on each _SLICE-point slice `rows`:
+    block[p, i, j] = N_l e^{-jk_i phi_p} e^{-jn_j chi_p} d_l^{k_i,n_j}(theta_p)
+    over the sorted k_orders and n_orders with |k_i|, |n_j| <= l, from one run
+    of the degree recurrence per slice."""
+    k, n, slot = _order_lanes(k_orders, n_orders)
+    for start in range(0, len(theta), _SLICE):
+        rows = slice(start, start + _SLICE)
+        ephi = np.exp(-1j * np.outer(k_orders, phi[rows]))
+        echi = np.exp(-1j * np.outer(n_orders, chi[rows]))
+        for l, d in _wigner_d_lanes(k, n, theta[rows], l_max):
+            ko = slice(*np.searchsorted(k_orders, (-l, l + 1)))
+            no = slice(*np.searchsorted(n_orders, (-l, l + 1)))
+            block = (_norm_factor(l) * ephi[ko])[:, None] * echi[no]
+            block *= d[slot[ko, no]]
+            yield rows, l, block.transpose(2, 0, 1)
+
+
 def evaluate_basis(B: int, theta, phi, chi) -> np.ndarray:
     """Dense (npoints, N) matrix of all Wigner-D functions of degree l < B.
 
-    Columns follow the canonical linearization. One run of the degree
-    recurrence gives the real d-table of every order pair (k, n); degree l
-    is then written as one block N_l e^{-jk phi} d_l^{k,n} e^{-jn chi} from
-    the phase tables.
+    Columns follow the canonical linearization: degree l is the (k, n)
+    block of `_basis_blocks`, flattened k-major.
     """
     theta, phi, chi = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (theta, phi, chi))
     if not (theta.ndim == 1 and theta.shape == phi.shape == chi.shape):
@@ -147,21 +163,9 @@ def evaluate_basis(B: int, theta, phi, chi) -> np.ndarray:
             f"{theta.shape}, {phi.shape}, {chi.shape}"
         )
     _check_angles(theta, phi, chi)
-    npts = theta.shape[0]
-    out = np.empty((npts, basis_count(B)), dtype=complex)
-    L = B - 1
-    orders = np.arange(-L, L + 1)
-    k, n, slot = _order_lanes(orders, orders)
-    for start in range(0, npts, _SLICE):
-        rows = slice(start, start + _SLICE)
-        ephi = np.exp(-1j * np.outer(phi[rows], orders))
-        echi = np.exp(-1j * np.outer(chi[rows], orders))
-        for l, d in _wigner_d_lanes(k, n, theta[rows], L):
-            w = 2 * l + 1
-            o = slice(L - l, L + l + 1)
-            base = l * (2 * l - 1) * (2 * l + 1) // 3
-            # a column range of a C-ordered matrix reshapes to a view
-            block = out[rows, base:base + w * w].reshape(len(ephi), w, w)
-            np.multiply((_norm_factor(l) * ephi[:, o])[:, :, None], echi[:, None, o], out=block)
-            block *= d[slot[o, o]].transpose(2, 0, 1)
+    out = np.empty((len(theta), basis_count(B)), dtype=complex)
+    orders = np.arange(1 - B, B)
+    for rows, l, block in _basis_blocks(orders, orders, theta, phi, chi, B - 1):
+        base, w = l * (2 * l - 1) * (2 * l + 1) // 3, 2 * l + 1
+        out[rows, base:base + w * w] = block.reshape(-1, w * w)
     return out

@@ -393,6 +393,32 @@ def test_phase_transition_threads_byte_identical(tmp_path):
     assert _read(out1 / "grid.csv") == _read(out3 / "grid.csv")
 
 
+def test_cached_parser_carries_no_state_between_runs(tmp_path):
+    # one parser serves every run of a process: a rerun's inlined config
+    # must not reach the next phase-transition
+    first = {"B": 2, "m_values": [4, 10], "s_values": [1], "trials": 4, "base_seed": 3}
+    second = {"B": 2, "m_values": [6], "s_values": [1, 2], "trials": 3, "base_seed": 5}
+    for name, cfg in (("first", first), ("second", second)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    assert cli._build_parser() is cli._build_parser()
+    assert cli.run(["phase-transition", "--config", str(tmp_path / "first.json"),
+                    "--output-dir", str(tmp_path / "a")]) == 0
+    assert cli.run(["rerun", str(tmp_path / "a" / "manifest.json"),
+                    "--output-dir", str(tmp_path / "a2")]) == 0
+    assert _read(tmp_path / "a" / "grid.csv") == _read(tmp_path / "a2" / "grid.csv")
+    assert cli.run(["phase-transition", "--config", str(tmp_path / "second.json"),
+                    "--output-dir", str(tmp_path / "b")]) == 0
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["args"]["inline_config"] == second
+    rows = (tmp_path / "b" / "grid.csv").read_text().splitlines()
+    assert [r.rsplit(",", 1)[0] for r in rows[1:]] == ["6,1", "6,2"]
+    # the same run from a fresh parser writes the same bytes
+    cli._build_parser.cache_clear()
+    assert cli.run(["phase-transition", "--config", str(tmp_path / "second.json"),
+                    "--output-dir", str(tmp_path / "b2")]) == 0
+    assert _read(tmp_path / "b" / "grid.csv") == _read(tmp_path / "b2" / "grid.csv")
+
+
 @pytest.mark.parametrize("argv", [
     ["bound-scan", "--B-list", "1,2", "--grid", "64"],
     ["phase-transition", "--config", "{cfg}"],

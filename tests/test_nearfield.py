@@ -161,6 +161,21 @@ def test_dictionary_row_blocks_match_one_pass():
     np.testing.assert_allclose(_dictionary(B, sched), ref, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", [-1, 3])
+def test_unit_weight_dictionary_is_basis_columns(n):
+    # build_dictionary and evaluate_basis share one block computation, so a
+    # unit weight gives the basis columns bit for bit, over three slices
+    rng = np.random.default_rng(4)
+    B, m = 4, 2 * _SLICE + 50
+    sched = make_schedule(rng, m)
+    full = build_matrix(sched, B + 1)
+    ref = np.zeros((m, coefficient_count(B)), dtype=complex)
+    for l in range(max(1, abs(n)), B + 1):
+        for k in range(-l, l + 1):
+            ref[:, coefficient_index(1, l, k, B)] = full[:, column(l, k, n)]
+    np.testing.assert_array_equal(_dictionary(B, sched, {(1, n): 1}), ref)
+
+
 @settings(max_examples=40, deadline=None)
 @given(B=st.integers(1, 4), data=st.data())
 def test_dictionary_matches_pointwise_wigner_sum(B, data):
