@@ -118,6 +118,8 @@ _INT_KEYS = ("B", "trials", "base_seed")   # a JSON true is a bool, not one of t
 
 
 def _cmd_phase_transition(ns) -> int:
+    if ns.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {ns.threads}")
     if ns.inline_config is None:
         if ns.config is None:
             raise ConfigError("phase-transition needs --config")

@@ -11,6 +11,7 @@ independent of worker scheduling.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import math
 import numbers
@@ -101,16 +102,25 @@ def gen_sparse(
 
 def run_trial(cfg: TrialConfig, trial_index: int) -> tuple[bool, float]:
     """One planted-recovery trial; the trial seed is base_seed + trial_index.
-    Only a converged solve can count as a success."""
+    Only a converged solve can count as a success.
+
+    A noise-free solve gets the objective limit ||g||_1 - sqrt(N) tau ||g||_2,
+    tau the success threshold, below which the trial has failed (see the
+    solver module), and ends there as `Cutoff`, a failure. Noisy trials keep
+    their solves whole, because callers read their errors."""
     rng = np.random.default_rng(cfg.base_seed + trial_index)
     samples = sampling.sample_points(cfg.measure, rng, cfg.m)
     g = gen_sparse(basis_count(cfg.B), cfg.s, cfg.nonzero_model, rng)
     A = build_matrix(samples, cfg.B)
     y = A @ g
+    limit = -math.inf
     if cfg.noise_epsilon > 0:
         y = add_noise(y, cfg.noise_epsilon, rng)
+    else:
+        limit = (np.sum(np.abs(g))
+                 - math.sqrt(g.size) * cfg.success_threshold * np.linalg.norm(g))
     system = precondition(samples, A, y, cfg.noise_epsilon)
-    result = bpdn_ball(system.A, system.y, system.radius, cfg.solver)
+    result = bpdn_ball(system.A, system.y, system.radius, cfg.solver, objective_limit=limit)
     if result.status == INFEASIBLE:
         return False, float("inf")
     rel_err = float(np.linalg.norm(result.x - g) / np.linalg.norm(g))
@@ -123,12 +133,11 @@ def _run_cell(cfg: TrialConfig, cell_index: int) -> float:
     return sum(run_trial(cell_cfg, t)[0] for t in range(cfg.trials)) / cfg.trials
 
 
-def _one_blas_thread() -> None:
-    """Pool-worker initializer: the workers already fill the cores, so each
-    runs numpy's OpenBLAS on one thread (unpinned, two forked workers on two
-    cores ran a grid 2-3x slower than one process). OpenBLAS reads its thread
-    variables only when it loads, so the loaded library is set through its
-    own symbol; a numpy without a bundled OpenBLAS is left as it is."""
+@functools.cache
+def _blas_thread_setter():
+    """The thread-count setter of numpy's bundled OpenBLAS, or None for a
+    numpy without one. OpenBLAS reads its thread variables only when it
+    loads, so the loaded library is set through its own symbol."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
         try:
@@ -138,8 +147,17 @@ def _one_blas_thread() -> None:
         for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                      "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
             if hasattr(lib, name):
-                getattr(lib, name)(1)
-                break
+                return getattr(lib, name)
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: the workers already fill the cores, so each
+    runs numpy's OpenBLAS on one thread (unpinned, two forked workers on two
+    cores ran a grid 2-3x slower than one process)."""
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
 
 
 def phase_transition(
@@ -148,14 +166,22 @@ def phase_transition(
     s_values: list[int],
     threads: int = 1,
 ) -> PhaseTransitionGrid:
-    """Success-rate grid over (m, s) cells; deterministic given the base seed."""
+    """Success-rate grid over (m, s) cells; deterministic given the base seed.
+    `threads` > 1 runs the cells on min(threads, cells) worker processes."""
     if not m_values or not s_values:
         raise ValueError("m_values and s_values must be non-empty")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     jobs = [replace(template, m=m, s=s) for m in m_values for s in s_values]
-    if threads <= 1:
+    if threads == 1:
         rates = list(map(_run_cell, jobs, range(len(jobs))))
     else:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread) as pool:
+        # load here, once, what each forked worker would load for itself:
+        # numpy.random, which numpy imports on first use, and the BLAS setter
+        import numpy.random  # noqa: F401
+        _blas_thread_setter()
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
+                                 initializer=_one_blas_thread) as pool:
             rates = list(pool.map(_run_cell, jobs, range(len(jobs))))
     grid = np.array(rates).reshape(len(m_values), len(s_values))
     return PhaseTransitionGrid(list(m_values), list(s_values), grid)

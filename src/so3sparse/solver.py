@@ -24,6 +24,10 @@ range(A): a constant in that sum, and the test for `Infeasible`. The cut
 on lam = sigma^2 drops directions that numpy's `lstsq` keeps with its cut
 on sigma, so an `Infeasible` distance is confirmed on an SVD basis of A,
 cut on sigma, which the solve then uses if y is in the range after all.
+numpy has no triangular solve, so every solve with R or R* here, in the
+set-up and in the radius-0 polish, goes through `_solve_triangular`: blocked
+substitution whose 32-row diagonal blocks are `np.linalg.solve` calls, so a
+system of up to 32 rows is that one call.
 
 The penalty starts at rho_0 = 16 and is rebalanced every 10 iterations
 when the primal and dual residuals differ by 10x (residual balancing,
@@ -36,7 +40,9 @@ Every 10th iteration also tries a polish, as in OSQP (Stellato et al.
 2020), on S = supp(z) when 0 < |S| <= m and A_S = Q R passes the rank cut.
 A polished x is returned as converged, exactly sparse, with a 0 dual
 residual; otherwise the iterates go on untouched. Either way x_S must have no
-0 entry and a misfit within the primal slack. At radius 0, x_S = R^-1 Q* y
+0 entry and a misfit within the primal slack. The solve keeps the last
+attempt's S with its QR and rank verdict, and an attempt on the same S
+reuses them. At radius 0, x_S = R^-1 Q* y
 and the loop's subgradient estimate w = rho (x - q), q the projection input,
 lies in range(A*); w' = w + A* Q R^-* (sign(x_S) - w_S) stays there, equals
 sign(x_S) on S and must be at most 1 off S: a dual certificate (Fuchs
@@ -67,6 +73,13 @@ evaluated when the primal test passes, on a rebalance iteration or on the
 last allowed one, the only places they are read; the iterates do not
 change.
 
+With an `objective_limit`, every 10th iteration after the residual test
+also checks the projected x, which is feasible: if sum|x_j| < limit, so is
+the minimum, and the solve returns z with status `Cutoff`. A planted trial
+passes ||g||_1 - sqrt(N) tau ||g||_2 for its planted g and success
+threshold tau, as ||g - x*||_2 >= (||g||_1 - ||x*||_1)/sqrt(N) at the
+minimizer x*: below the limit the trial has failed, whatever z does next.
+
 The l1 objective is the sum of complex moduli throughout.
 """
 
@@ -84,6 +97,7 @@ __all__ = ["SolverConfig", "SolverResult", "bpdn_ball"]
 CONVERGED = "Converged"
 MAX_ITER = "MaxIter"
 INFEASIBLE = "Infeasible"
+CUTOFF = "Cutoff"
 
 _PENALTY = 16.0          # initial ADMM penalty rho, rebalanced as the loop runs
 _OVER_RELAXATION = 1.6
@@ -91,6 +105,7 @@ _SECULAR_STEPS = 50      # cap on the Newton steps of one ball projection
 _SECULAR_TOLERANCE = 1e-9
 _REFINE_STEPS = 8        # cap on the refinement steps of one least-squares point
 _NEWTON_STEPS = 8        # cap on the phase steps of one ball polish
+_BLOCK = 32              # diagonal block of `_solve_triangular`
 
 
 @dataclass
@@ -144,6 +159,22 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
 
+def _solve_triangular(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """T^-1 b for a triangular T by blocked substitution: each diagonal block
+    of _BLOCK rows is solved by np.linalg.solve after the blocks already
+    solved are subtracted by one matvec, so up to _BLOCK rows it is that call."""
+    n = T.shape[0]
+    if n <= _BLOCK:
+        return np.linalg.solve(T, b)
+    x = np.empty(n, dtype=np.result_type(T, b))
+    starts = range(0, n, _BLOCK) if lower else reversed(range(0, n, _BLOCK))
+    for i in starts:
+        j = min(i + _BLOCK, n)
+        done = slice(0, i) if lower else slice(j, n)
+        x[i:j] = np.linalg.solve(T[i:j, i:j], b[i:j] - T[i:j, done] @ x[done])
+    return x
+
+
 class _DataBall:
     """Euclidean projection onto {x : ||A x - y|| <= radius} by a set-up of
     the module docstring: the QR point or QR basis at radius 0 when R passes
@@ -162,11 +193,11 @@ class _DataBall:
             d = np.abs(R.diagonal()[:N])    # the diagonal of R[:N, :N]
             if d.min() > d.max() * cut:
                 if m >= N:
-                    self.point = np.linalg.solve(R[:N, :N], R[:N, N])
+                    self.point = _solve_triangular(R[:N, :N], R[:N, N], lower=False)
                     self.distance = _norm(R[N:, N])    # empty, so 0, when m = N
                 else:    # W W* = I: lam stays None and project skips the divide
                     self.W = np.ascontiguousarray(Q.T)
-                    self.Vty = np.linalg.solve(R.T, y)
+                    self.Vty = _solve_triangular(R.T, y, lower=True)
                 return
         if exact_rank:    # the cut applies to sigma, as in lstsq
             V, sigma, _ = np.linalg.svd(A)
@@ -239,22 +270,29 @@ def _duality_gap(A: np.ndarray, y: np.ndarray, radius: float, objective: float,
 
 
 def _polish(A: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, radius: float,
-            slack: float, gap_tolerance: float):
+            slack: float, gap_tolerance: float, last: dict):
     """The polish of the module docstring on S = supp(z): (x, max(||A x - y||
     - radius, 0)) if a certificate proves x optimal, else None. w is the
-    loop's subgradient estimate, read at radius 0."""
+    loop's subgradient estimate, read at radius 0. `last` maps the previous
+    attempt's S to its factors, None if A_S failed the rank cut, and a
+    repeat of S reuses them."""
     m, N = A.shape
     S = np.flatnonzero(z)
     if not 0 < S.size <= m:
         return None
-    A_S = A[:, S]
-    Q, R = np.linalg.qr(A_S)
-    d = np.abs(R.diagonal())
-    if d.min() <= d.max() * max(m, N) * np.finfo(float).eps:
+    key = S.tobytes()
+    if key not in last:
+        A_S = A[:, S]
+        Q, R = np.linalg.qr(A_S)
+        d = np.abs(R.diagonal())
+        last.clear()
+        last[key] = (None if d.min() <= d.max() * max(m, N) * np.finfo(float).eps
+                     else (A_S, Q, R, Q.conj().T @ y))
+    if last[key] is None:
         return None
-    Qy = Q.conj().T @ y
+    A_S, Q, R, Qy = last[key]
     if radius == 0.0:
-        x_S = np.linalg.solve(R, Qy)
+        x_S = _solve_triangular(R, Qy, lower=False)
         misfit = _norm(A_S @ x_S - y)
     else:
         h = radius * radius - _norm(y - Q @ Qy) ** 2
@@ -290,7 +328,7 @@ def _polish(A: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, radius: 
     if misfit > slack or not np.all(x_S):
         return None
     if radius == 0.0:
-        nu = Q @ np.linalg.solve(R.conj().T, x_S / np.abs(x_S) - w[S])
+        nu = Q @ _solve_triangular(R.conj().T, x_S / np.abs(x_S) - w[S], lower=True)
         w = w + (nu.conj() @ A).conj()    # equals the signs of x_S on S
         w[S] = 0.0
         if np.max(np.abs(w)) > 1.0:
@@ -301,9 +339,11 @@ def _polish(A: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, radius: 
 
 
 def bpdn_ball(
-    A: np.ndarray, y: np.ndarray, radius: float, cfg: SolverConfig | None = None
+    A: np.ndarray, y: np.ndarray, radius: float, cfg: SolverConfig | None = None,
+    objective_limit: float = -math.inf,
 ) -> SolverResult:
-    """min sum|x_j| subject to ||A x - y||_2 <= radius (complex)."""
+    """min sum|x_j| subject to ||A x - y||_2 <= radius (complex); a solve
+    proved to end below `objective_limit` stops as `Cutoff` (module docstring)."""
     if not radius >= 0:   # false for NaN too
         raise ValueError("radius must be >= 0")
     cfg = cfg or SolverConfig()
@@ -334,6 +374,7 @@ def bpdn_ball(
     abs_tol = math.sqrt(N) * tol
     z = np.zeros(N, dtype=complex)
     u = np.zeros(N, dtype=complex)
+    last_support = {}    # the previous polish attempt's factors
     for it in range(1, cfg.max_iterations + 1):
         q = z - u
         x = ball.project(q)
@@ -352,8 +393,13 @@ def bpdn_ball(
             return result(x=z, iterations=it, primal_residual=r_norm,
                           dual_residual=s_norm, status=CONVERGED, penalty=rho,
                           rebalances=rebalances)
+        if rebalance and np.sum(np.abs(x)) < objective_limit:
+            return result(x=z, iterations=it, primal_residual=r_norm,
+                          dual_residual=s_norm, status=CUTOFF, penalty=rho,
+                          rebalances=rebalances)
         # x - q = -W* g c, so rho (x - q) lies in range(A*)
-        polished = rebalance and _polish(A, y, z, rho * (x - q), radius, slack, tol)
+        polished = rebalance and _polish(A, y, z, rho * (x - q), radius, slack, tol,
+                                         last_support)
         if polished:
             return result(x=polished[0], iterations=it, primal_residual=polished[1],
                           penalty=rho, rebalances=rebalances)

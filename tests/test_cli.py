@@ -472,6 +472,17 @@ def test_phase_transition_rejects_config_that_is_not_its_keys(cfg, named, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_phase_transition_rejects_threads_below_one(threads, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"B": 2, "m_values": [4], "s_values": [1], "trials": 2}))
+    out = tmp_path / "pt"
+    assert cli.run(["phase-transition", "--config", str(path), "--output-dir", str(out),
+                    "--threads", threads]) == 1
+    assert f"error: config: --threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_phase_transition_at_bandwidth_one(tmp_path):
     # B = 1 has one basis function, so only s = 1 is a valid sparsity
     path = tmp_path / "cfg.json"

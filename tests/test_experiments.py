@@ -3,6 +3,8 @@ import glob
 import itertools
 import math
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -21,7 +23,7 @@ from so3sparse.experiments import (
     phase_transition,
     run_trial,
 )
-from so3sparse.solver import CONVERGED, MAX_ITER, SolverResult
+from so3sparse.solver import CONVERGED, CUTOFF, MAX_ITER, SolverResult, bpdn_ball
 from so3sparse.wigner import _SLICE, _wigner_d_lanes, basis_count, wigner_d
 
 
@@ -59,7 +61,8 @@ def test_run_trial_square_system_succeeds():
     assert ok and err < 1e-3
 
 
-@pytest.mark.parametrize("status, success", [(CONVERGED, True), (MAX_ITER, False)])
+@pytest.mark.parametrize("status, success", [(CONVERGED, True), (MAX_ITER, False),
+                                             (CUTOFF, False)])
 def test_run_trial_success_needs_convergence(monkeypatch, status, success):
     # a solver stand-in that returns the planted vector itself with the given
     # status: only the status decides the verdict
@@ -69,7 +72,7 @@ def test_run_trial_success_needs_convergence(monkeypatch, status, success):
         planted.append(gen_sparse(*args))
         return planted[-1]
 
-    def solved(A, y, radius, cfg):
+    def solved(A, y, radius, cfg, objective_limit):
         return SolverResult(x=planted[-1].copy(), iterations=cfg.max_iterations,
                             primal_residual=1.0, dual_residual=1.0, status=status,
                             penalty=1.0, rebalances=0)
@@ -78,6 +81,30 @@ def test_run_trial_success_needs_convergence(monkeypatch, status, success):
     monkeypatch.setattr(experiments, "bpdn_ball", solved)
     ok, err = run_trial(TrialConfig(B=2, m=20, s=2, base_seed=17), 0)
     assert ok is success and err == 0.0
+
+
+def test_cutoff_trial_fails_without_the_limit(monkeypatch):
+    # a noise-free draw whose solve stops on a certified failure after a few
+    # checks; solved to the end without a limit, it fails as well
+    cfg, results, limits = TrialConfig(B=3, m=10, s=4, base_seed=0), [], []
+
+    def recording(A, y, radius, cfg, objective_limit=-math.inf):
+        limits.append(objective_limit)
+        results.append(bpdn_ball(A, y, radius, cfg, objective_limit=objective_limit))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "bpdn_ball", recording)
+    ok, _ = run_trial(cfg, 3)
+    assert not ok and results[0].status == CUTOFF and results[0].iterations > 10
+    limit = limits[0]
+    assert math.isfinite(limit)
+
+    monkeypatch.setattr(experiments, "bpdn_ball",
+                        lambda A, y, radius, cfg, objective_limit: recording(A, y, radius, cfg))
+    ok, err = run_trial(cfg, 3)
+    full = results[1]
+    assert not ok and full.status == CONVERGED and err > cfg.success_threshold
+    assert full.objective < limit    # the certificate's premise, on the minimizer
 
 
 def test_run_trial_deterministic():
@@ -92,6 +119,62 @@ def test_phase_transition_reproducible_and_square_column():
     g2 = phase_transition(cfg, [4, N], [1, 2], threads=2)
     np.testing.assert_array_equal(g1.success_rate, g2.success_rate)
     np.testing.assert_array_equal(g1.success_rate[-1], 1.0)
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records its worker count and
+    runs the jobs in process, starting no process."""
+
+    def __init__(self, started, max_workers, initializer):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_phase_transition_starts_at_most_one_worker_per_cell(monkeypatch):
+    started = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                        lambda **kw: _RecordingPool(started, **kw))
+    cfg = TrialConfig(B=2, s=1, trials=2, base_seed=99)
+    grids = [phase_transition(cfg, [4, 10], [1, 2], threads=t).success_rate
+             for t in (1, 3, 10_000)]
+    assert started == [3, 4]
+    np.testing.assert_array_equal(grids[0], grids[1])
+    np.testing.assert_array_equal(grids[0], grids[2])
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_phase_transition_rejects_threads_below_one(threads, monkeypatch):
+    started = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                        lambda **kw: _RecordingPool(started, **kw))
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        phase_transition(TrialConfig(B=2, s=1, trials=2), [4], [1], threads=threads)
+    assert started == []
+
+
+def test_numpy_random_loads_in_the_pool_parent_only():
+    # a fresh interpreter: the CLI import leaves numpy.random unloaded, and a
+    # pooled grid loads it once in the parent before the workers fork
+    code = ("import sys\n"
+            "import so3sparse.cli\n"
+            "print('numpy.random' in sys.modules)\n"
+            "from so3sparse import experiments\n"
+            "experiments.phase_transition(experiments.TrialConfig(B=1, s=1, trials=1),"
+            " [1, 2], [1], threads=2)\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_contour_interpolation():

@@ -205,6 +205,20 @@ def _tall(rng, m=30, N=12):
     return (rng.standard_normal((m, N)) + 1j * rng.standard_normal((m, N))) / np.sqrt(2 * m)
 
 
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 165])
+@pytest.mark.parametrize("lower", [False, True])
+def test_solve_triangular_matches_solve(n, lower):
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    R = np.linalg.qr(M, mode="r")
+    T = R.T if lower else R
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x, ref = solver._solve_triangular(T, b, lower), np.linalg.solve(T, b)
+    if n <= solver._BLOCK:
+        np.testing.assert_array_equal(x, ref)
+    np.testing.assert_allclose(x, ref, rtol=1e-12, atol=0)
+
+
 def test_tall_consistent_system_is_one_point():
     # full column rank: {x : A x = y} is one point, solved without iterations
     rng = np.random.default_rng(15)
@@ -396,7 +410,8 @@ def _reference_bpdn(A, y, radius, cfg, polish=True):
         if r_norm < eps_pri and s_norm < eps_dua:
             return z, it, CONVERGED, r_norm, s_norm
         if it % 10 == 0:
-            polished = polish and solver._polish(A, y, z, rho * (x - q), radius, slack, tol)
+            # a fresh `last` refactors every attempt: bpdn_ball's reuse must not show
+            polished = polish and solver._polish(A, y, z, rho * (x - q), radius, slack, tol, {})
             if polished:
                 return polished[0], it, CONVERGED, polished[1], 0.0
             if r_norm > 10.0 * s_norm:
