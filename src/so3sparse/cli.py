@@ -194,7 +194,7 @@ def _cmd_recover(ns) -> None:
 
 def _cmd_nearfield_sim(ns) -> int:
     experiments._check_bound("--epsilon", ns.epsilon)
-    weights = None
+    weights = nearfield.default_probe_weights()
     if ns.probe_weights:
         ns.probe_weights = os.path.abspath(ns.probe_weights)
         try:
@@ -202,13 +202,14 @@ def _cmd_nearfield_sim(ns) -> int:
                 raw = json.load(fh)
             if not isinstance(raw, dict):
                 raise ValueError(f"a {type(raw).__name__}, not a JSON object")
+            if not raw:
+                raise ValueError("an empty JSON object names no probe weight")
             weights = {
                 tuple(int(t) for t in key.split(",")): complex(_finite_part(re), _finite_part(im))
                 for key, (re, im) in raw.items()
             }
         except (OSError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad probe-weights file: {exc}")
-    weights = weights or nearfield.default_probe_weights()
     ncoef = nearfield.coefficient_count(ns.B)
     rng = np.random.default_rng(ns.seed)
     samples = nearfield.make_schedule(rng, ns.m, measure=ns.measure)

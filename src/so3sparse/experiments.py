@@ -166,10 +166,13 @@ def phase_transition(
     s_values: list[int],
     threads: int = 1,
 ) -> PhaseTransitionGrid:
-    """Success-rate grid over (m, s) cells; deterministic given the base seed.
-    `threads` > 1 runs the cells on min(threads, cells) worker processes."""
+    """Success-rate grid over (m, s) cells, m strictly increasing;
+    deterministic given the base seed. `threads` > 1 runs the cells on
+    min(threads, cells) worker processes."""
     if not m_values or not s_values:
         raise ValueError("m_values and s_values must be non-empty")
+    if any(a >= b for a, b in zip(m_values, m_values[1:])):
+        raise ValueError(f"m_values must strictly increase, got {m_values}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     jobs = [replace(template, m=m, s=s) for m in m_values for s in s_values]
@@ -188,8 +191,8 @@ def phase_transition(
 
 
 def contour_half_success(grid: PhaseTransitionGrid) -> list[float]:
-    """Per sparsity, the smallest m reaching 50% success (linear
-    interpolation between adjacent m cells; NaN when never reached)."""
+    """Per sparsity, the smallest m reaching 50% success (linear interpolation
+    between adjacent cells of the increasing m; NaN when never reached)."""
     out = []
     m = np.asarray(grid.m_values, dtype=float)
     for j in range(len(grid.s_values)):

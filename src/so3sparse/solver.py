@@ -40,9 +40,7 @@ Every 10th iteration also tries a polish, as in OSQP (Stellato et al.
 2020), on S = supp(z) when 0 < |S| <= m and A_S = Q R passes the rank cut.
 A polished x is returned as converged, exactly sparse, with a 0 dual
 residual; otherwise the iterates go on untouched. Either way x_S must have no
-0 entry and a misfit within the primal slack. The solve keeps the last
-attempt's S with its QR and rank verdict, and an attempt on the same S
-reuses them. At radius 0, x_S = R^-1 Q* y
+0 entry and a misfit within the primal slack. At radius 0, x_S = R^-1 Q* y
 and the loop's subgradient estimate w = rho (x - q), q the projection input,
 lies in range(A*); w' = w + A* Q R^-* (sign(x_S) - w_S) stays there, equals
 sign(x_S) on S and must be at most 1 off S: a dual certificate (Fuchs
@@ -270,27 +268,20 @@ def _duality_gap(A: np.ndarray, y: np.ndarray, radius: float, objective: float,
 
 
 def _polish(A: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, radius: float,
-            slack: float, gap_tolerance: float, last: dict):
+            slack: float, gap_tolerance: float):
     """The polish of the module docstring on S = supp(z): (x, max(||A x - y||
     - radius, 0)) if a certificate proves x optimal, else None. w is the
-    loop's subgradient estimate, read at radius 0. `last` maps the previous
-    attempt's S to its factors, None if A_S failed the rank cut, and a
-    repeat of S reuses them."""
+    loop's subgradient estimate, read at radius 0."""
     m, N = A.shape
     S = np.flatnonzero(z)
     if not 0 < S.size <= m:
         return None
-    key = S.tobytes()
-    if key not in last:
-        A_S = A[:, S]
-        Q, R = np.linalg.qr(A_S)
-        d = np.abs(R.diagonal())
-        last.clear()
-        last[key] = (None if d.min() <= d.max() * max(m, N) * np.finfo(float).eps
-                     else (A_S, Q, R, Q.conj().T @ y))
-    if last[key] is None:
+    A_S = A[:, S]
+    Q, R = np.linalg.qr(A_S)
+    d = np.abs(R.diagonal())
+    if d.min() <= d.max() * max(m, N) * np.finfo(float).eps:
         return None
-    A_S, Q, R, Qy = last[key]
+    Qy = Q.conj().T @ y
     if radius == 0.0:
         x_S = _solve_triangular(R, Qy, lower=False)
         misfit = _norm(A_S @ x_S - y)
@@ -374,7 +365,7 @@ def bpdn_ball(
     abs_tol = math.sqrt(N) * tol
     z = np.zeros(N, dtype=complex)
     u = np.zeros(N, dtype=complex)
-    last_support = {}    # the previous polish attempt's factors
+    status = MAX_ITER
     for it in range(1, cfg.max_iterations + 1):
         q = z - u
         x = ball.project(q)
@@ -390,19 +381,17 @@ def bpdn_ball(
             continue    # the dual residual would not be read
         s_norm = rho * _norm(z - z_old)
         if primal_ok and s_norm < abs_tol + tol * rho * _norm(u):
-            return result(x=z, iterations=it, primal_residual=r_norm,
-                          dual_residual=s_norm, status=CONVERGED, penalty=rho,
-                          rebalances=rebalances)
+            status = CONVERGED
+            break
         if rebalance and np.sum(np.abs(x)) < objective_limit:
-            return result(x=z, iterations=it, primal_residual=r_norm,
-                          dual_residual=s_norm, status=CUTOFF, penalty=rho,
-                          rebalances=rebalances)
+            status = CUTOFF
+            break
         # x - q = -W* g c, so rho (x - q) lies in range(A*)
-        polished = rebalance and _polish(A, y, z, rho * (x - q), radius, slack, tol,
-                                         last_support)
-        if polished:
-            return result(x=polished[0], iterations=it, primal_residual=polished[1],
-                          penalty=rho, rebalances=rebalances)
+        polished = rebalance and _polish(A, y, z, rho * (x - q), radius, slack, tol)
+        if polished:    # exactly sparse, with no dual residual
+            z, r_norm = polished
+            s_norm, status = 0.0, CONVERGED
+            break
         # rebalance only every few iterations: per-iteration rescaling of the
         # scaled dual can lock the iteration into a limit cycle
         if rebalance and max(r_norm, s_norm) > 10.0 * min(r_norm, s_norm):
@@ -410,5 +399,5 @@ def bpdn_ball(
             rho *= scale
             u /= scale
             rebalances += 1
-    return result(x=z, iterations=cfg.max_iterations, primal_residual=r_norm,
-                  dual_residual=s_norm, status=MAX_ITER, penalty=rho, rebalances=rebalances)
+    return result(x=z, iterations=it, primal_residual=r_norm, dual_residual=s_norm,
+                  status=status, penalty=rho, rebalances=rebalances)

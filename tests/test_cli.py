@@ -255,6 +255,20 @@ def test_recover_rejects_meta_json_that_is_not_an_object(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_recover_inconsistent_problem_exit_code(tmp_path, capsys):
+    # 60 samples of a degree-2 expansion (10 columns) with random data at
+    # epsilon 0: no x fits, so the solve is Infeasible and the run writes nothing
+    rng = np.random.default_rng(12)
+    points = sampling.sample_points(sampling.PRODUCT, rng, 60)
+    y = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    pdir, out = tmp_path / "problem", tmp_path / "solve"
+    sensing.save_problem(str(pdir), sensing.SensingProblem(
+        sensing.build_matrix(points, 2), y, 0.0, points, 2))
+    assert cli.run(["recover", "--problem-dir", str(pdir), "--output-dir", str(out)]) == 2
+    assert "error: numerical: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_recover_polished_solve_is_exactly_sparse(tmp_path):
     # radius 0 with 40 samples against basis_count(4) = 84 columns: the solve
     # ends on a certified polish, which zeroes every entry off its support
@@ -331,6 +345,8 @@ def test_nearfield_sim_rejects_bad_probe_weight_key(key, tmp_path, capsys):
     pytest.param('{"1,-1": [1e400, 0]}', id="1e400"),
     pytest.param('{"1,-1": [true, 0]}', id="true"),
     pytest.param('{"1,-1": [1' + "0" * 400 + ', 0]}', id="int-overflow"),
+    # an empty object would leave the default weights in force
+    pytest.param("{}", id="empty"),
 ])
 def test_nearfield_sim_rejects_malformed_probe_weights(weights, tmp_path, capsys):
     path = tmp_path / "w.json"
@@ -460,6 +476,8 @@ def test_phase_transition_without_config_exit_code(tmp_path, capsys):
     ({"B": 2, "m_values": [4], "s_values": [1], "noise_epsilon": "x"}, "noise_epsilon"),
     ({"B": 2, "m_values": [4], "s_values": [1], "noise_epsilon": -1}, "noise_epsilon"),
     ({"B": 2, "m_values": [4], "s_values": [1], "success_threshold": "x"}, "success_threshold"),
+    ({"B": 2, "m_values": [10, 4], "s_values": [1]}, "m_values must strictly increase"),
+    ({"B": 2, "m_values": [4, 4], "s_values": [1]}, "m_values must strictly increase"),
 ])
 def test_phase_transition_rejects_config_that_is_not_its_keys(cfg, named, tmp_path, capsys):
     path = tmp_path / "cfg.json"

@@ -160,6 +160,13 @@ def test_phase_transition_rejects_threads_below_one(threads, monkeypatch):
     assert started == []
 
 
+@pytest.mark.parametrize("m_values", [[80, 40, 20], [4, 4]])
+def test_phase_transition_needs_increasing_m(m_values):
+    # the contour interpolates between neighbouring rows, so they must ascend
+    with pytest.raises(ValueError, match=r"m_values must strictly increase"):
+        phase_transition(TrialConfig(B=2, s=1, trials=2), m_values, [1])
+
+
 def test_numpy_random_loads_in_the_pool_parent_only():
     # a fresh interpreter: the CLI import leaves numpy.random unloaded, and a
     # pooled grid loads it once in the parent before the workers fork

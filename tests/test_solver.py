@@ -9,6 +9,7 @@ from so3sparse import solver
 from so3sparse.experiments import COMPLEX_GAUSSIAN, gen_sparse
 from so3sparse.solver import (
     CONVERGED,
+    CUTOFF,
     INFEASIBLE,
     MAX_ITER,
     SolverConfig,
@@ -190,6 +191,23 @@ def test_consistent_condition_1e7_is_not_infeasible():
     assert res.status == CONVERGED
     assert np.linalg.norm(A @ res.x - y) < 1e-8 * np.linalg.norm(y)
     assert np.linalg.norm(res.x - x) < 1e-6 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("m, N", [(30, 60), (60, 30)])
+def test_svd_confirmation_keeps_a_consistent_ball_feasible(m, N):
+    # sigma = logspace(0, -10): y = A (v_1 + 1e3 v_k) puts 1e-7 of y on u_k,
+    # whose lam = 1e-20 falls under the eigenvalue cut, so the eigenbasis
+    # reads y off the range by far more than the slack; sigma_k = 1e-10 is
+    # above the cut on sigma, so the SVD basis finds y in the range
+    rng = np.random.default_rng(0)
+    k = min(m, N)
+    U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    V, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+    A = U[:, :k] * np.logspace(0, -10, k) @ V[:, :k].conj().T
+    y = A @ (V[:, 0] + 1e3 * V[:, k - 1])
+    assert solver._DataBall(A, y, 1e-9).distance == pytest.approx(1e-7, rel=1e-3)
+    res = bpdn_ball(A, y, 1e-9)
+    assert res.status == CONVERGED
 
 
 def _off_range(rng, A, distance):
@@ -385,10 +403,11 @@ def test_ball_projection_matches_bisection_on_mu():
         np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-9 * np.linalg.norm(x_ref))
 
 
-def _reference_bpdn(A, y, radius, cfg, polish=True):
+def _reference_bpdn(A, y, radius, cfg, polish=True, objective_limit=-math.inf):
     """The loop of `bpdn_ball` with every residual and tolerance evaluated at
-    every iteration, and the polish on every 10th unless `polish` is False;
-    returns x, iterations, status and the last residuals."""
+    every iteration, and on every 10th the objective-limit check and then the
+    polish unless `polish` is False; returns x, iterations, status and the
+    last residuals."""
     N = A.shape[1]
     project = solver._DataBall(A, y, radius).project
     tol = cfg.tolerance
@@ -410,8 +429,9 @@ def _reference_bpdn(A, y, radius, cfg, polish=True):
         if r_norm < eps_pri and s_norm < eps_dua:
             return z, it, CONVERGED, r_norm, s_norm
         if it % 10 == 0:
-            # a fresh `last` refactors every attempt: bpdn_ball's reuse must not show
-            polished = polish and solver._polish(A, y, z, rho * (x - q), radius, slack, tol, {})
+            if np.sum(np.abs(x)) < objective_limit:
+                return z, it, CUTOFF, r_norm, s_norm
+            polished = polish and solver._polish(A, y, z, rho * (x - q), radius, slack, tol)
             if polished:
                 return polished[0], it, CONVERGED, polished[1], 0.0
             if r_norm > 10.0 * s_norm:
@@ -437,6 +457,22 @@ def test_lazy_dual_test_matches_reference_loop():
         np.testing.assert_array_equal(res.x, x)
         # these draws all end on a polish, which reports no dual residual
         assert res.dual_residual == 0.0
+
+
+def test_cutoff_matches_reference_loop():
+    # 6 of 40 entries from 10 measurements: recovery fails, and the solve
+    # stops once a projected x is below the limit that proves it
+    A, g, y = _planted(np.random.default_rng(2), 10, 40, 6)
+    limit = np.sum(np.abs(g)) - math.sqrt(40) * 1e-3 * np.linalg.norm(g)
+    res = bpdn_ball(A, y, 0.0, objective_limit=limit)
+    x, iterations, status, r_norm, s_norm = _reference_bpdn(A, y, 0.0, SolverConfig(),
+                                                            objective_limit=limit)
+    assert res.status == status == CUTOFF
+    assert res.iterations == iterations == 20
+    assert (res.primal_residual, res.dual_residual) == (r_norm, s_norm)
+    np.testing.assert_array_equal(res.x, x)
+    # solved to the end, the minimum is below the limit too
+    assert bpdn_ball(A, y, 0.0).objective < limit
 
 
 def _noisy(rng, m, n, s):
