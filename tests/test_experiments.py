@@ -163,7 +163,7 @@ def test_phase_transition_rejects_threads_below_one(threads, monkeypatch):
 @pytest.mark.parametrize("m_values", [[80, 40, 20], [4, 4]])
 def test_phase_transition_needs_increasing_m(m_values):
     # the contour interpolates between neighbouring rows, so they must ascend
-    with pytest.raises(ValueError, match=r"m_values must strictly increase"):
+    with pytest.raises(ValueError, match="m_values must strictly increase"):
         phase_transition(TrialConfig(B=2, s=1, trials=2), m_values, [1])
 
 
