@@ -72,17 +72,17 @@ def _execute(ns) -> int:
         raise ConfigError(
             f"outputs already exist in {ns.output_dir}: {existing}; pass --force to overwrite"
         )
-    ns.t0 = time.time()
+    t0 = time.time()
     seed = ns.func(ns)
     if outputs:
         args = {k: v for k, v in vars(ns).items()
-                if k not in ("func", "outputs", "subcommand", "t0")}
+                if k not in ("func", "outputs", "subcommand")}
         _write(ns, "manifest.json", json.dumps({
             "subcommand": ns.subcommand,
             "args": {**args, "force": True},
             "seed": seed,
             "version": __version__,
-            "wall_time_s": time.time() - ns.t0,
+            "wall_time_s": time.time() - t0,
         }, indent=2, sort_keys=True))
     return 0
 
@@ -188,7 +188,6 @@ def _cmd_recover(ns) -> None:
         "penalty": result.penalty,
         "rebalances": result.rebalances,
         "status": result.status,
-        "wall_time_s": time.time() - ns.t0,
     }, indent=2, sort_keys=True))
 
 
@@ -218,10 +217,11 @@ def _cmd_nearfield_sim(ns) -> int:
     y = A @ x_true
     if ns.epsilon > 0:
         y = sensing.add_noise(y, ns.epsilon, rng)
-    x_l1, result = nearfield.recover_transmission(A, samples, y, epsilon=ns.epsilon)
+    system = sensing.precondition(samples, A, y, ns.epsilon)
+    result = solver.bpdn_ball(system.A, system.y, system.radius)
     if result.status == solver.INFEASIBLE:
         raise NumericalError("near-field recovery infeasible")
-    x_ls = result.least_squares()
+    x_l1, x_ls = result.x, result.least_squares()
     estimates = {"true": x_true, "l1": x_l1, "ls": x_ls}
 
     # coefficients are stored in (h, l, k) order, the order of the rows
@@ -232,14 +232,13 @@ def _cmd_nearfield_sim(ns) -> int:
 
     theta_grid = np.linspace(0.0, math.pi, 181)
     cuts = dict(zip(estimates, nearfield.pattern_cut(
-        ns.B, weights, estimates.values(), 0.0, theta_grid)))
+        ns.B, weights, estimates.values(), theta_grid)))
     _write(ns, "pattern_cut.csv", "theta_deg,dB_true,dB_l1,dB_ls",
            (f"{FMT % math.degrees(t)},"
             + ",".join(FMT % cuts[tag][0][i] for tag in ("true", "l1", "ls"))
             for i, t in enumerate(theta_grid)))
 
     nrm = np.linalg.norm(x_true)
-    system = sensing.precondition(samples, A, y, ns.epsilon)   # the l1 solve's ball
     misfit = np.linalg.norm(system.A @ x_l1 - system.y)
     _write(ns, "report.json", json.dumps({
         "B": ns.B, "s": ns.s, "m": ns.m, "epsilon": ns.epsilon,

@@ -61,6 +61,13 @@ class TrialConfig:
             raise ValueError(f"sparsity {self.s} outside [1, {N}]")
         if self.m < 1 or self.trials < 1:
             raise ValueError("m and trials must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed!r}")
+        if self.measure not in sampling.MEASURES:
+            raise ValueError(f"measure must be one of {sampling.MEASURES}, got {self.measure!r}")
+        if self.nonzero_model not in (REAL_GAUSSIAN, COMPLEX_GAUSSIAN):
+            raise ValueError(f"nonzero_model must be {REAL_GAUSSIAN!r} or {COMPLEX_GAUSSIAN!r}, "
+                             f"got {self.nonzero_model!r}")
         _check_bound("success_threshold", self.success_threshold, positive=True)
         _check_bound("noise_epsilon", self.noise_epsilon)
 

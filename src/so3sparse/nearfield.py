@@ -10,9 +10,9 @@ identical dictionary columns, so the defaults weight them differently
 (c_{1,+-1} = 1, c_{2,n} = n j) and their 2x2 matrix over n is reported
 alongside every result. The m x 2B(B+2) dictionary of one sample set is
 built once from the probe-order lanes (k, n) of the degree recurrence
-alone; it maps coefficients x to the samples A @ x and is passed to the l1
-recovery, whose solver set-up also gives the least-squares baseline
-(`SolverResult.least_squares`).
+alone; it maps coefficients x to the samples A @ x. The caller
+preconditions it and solves by `solver.bpdn_ball`, whose set-up also gives
+the least-squares baseline (`SolverResult.least_squares`).
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import numpy as np
 
 from . import sampling
 from .sampling import Samples
-from .sensing import precondition
-from .solver import SolverConfig, SolverResult, bpdn_ball
 from .wigner import _basis_blocks
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "weight_condition",
     "make_schedule",
     "build_dictionary",
-    "recover_transmission",
     "pattern_cut",
 ]
 
@@ -102,31 +99,14 @@ def build_dictionary(B: int, probe_weights: dict, samples: Samples) -> np.ndarra
     return A
 
 
-def recover_transmission(
-    A: np.ndarray,
-    samples: Samples,
-    y: np.ndarray,
-    epsilon: float = 0.0,
-    cfg: SolverConfig | None = None,
-) -> tuple[np.ndarray, SolverResult]:
-    """l1 recovery of the transmission coefficients from near-field samples
-    y taken at `samples` with dictionary A. The result's `least_squares()`
-    is the least-squares baseline on the same preconditioned system."""
-    system = precondition(samples, A, y, epsilon)
-    result = bpdn_ball(system.A, system.y, system.radius, cfg)
-    return result.x, result
-
-
 def pattern_cut(
     B: int,
     probe_weights: dict,
     coefficients,
-    phi_cut: float,
     theta_grid: np.ndarray,
-    chi: float = 0.0,
 ) -> list[tuple[np.ndarray, bool]]:
-    """Synthesis magnitude of each coefficient vector along a phi-cut, in dB
-    normalized to its 0 dB peak, from one cut dictionary.
+    """Synthesis magnitude of each coefficient vector along the cut
+    phi = chi = 0, in dB normalized to its 0 dB peak, from one cut dictionary.
 
     Returns one (dB array, defined flag) per vector; an all-zero pattern
     yields NaNs and defined=False.
@@ -134,8 +114,8 @@ def pattern_cut(
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     if theta_grid.size == 0:
         raise ValueError("empty theta grid")
-    cut = Samples(theta_grid, np.full_like(theta_grid, phi_cut),
-                  np.full_like(theta_grid, chi), sampling.PRODUCT)
+    zeros = np.zeros_like(theta_grid)
+    cut = Samples(theta_grid, zeros, zeros, sampling.PRODUCT)
     A = build_dictionary(B, probe_weights, cut)
     out = []
     for x in coefficients:

@@ -388,6 +388,29 @@ def test_nearfield_sim_builds_two_dictionaries(tmp_path, monkeypatch):
     assert calls == [40, 181]
 
 
+def test_nearfield_sim_preconditions_once(tmp_path, monkeypatch):
+    # the solve, the least-squares baseline and the report's misfit share one
+    # system; counted where `precondition` builds it, whoever calls it
+    calls = []
+    system = sensing.PreconditionedSystem
+    monkeypatch.setattr(sensing, "PreconditionedSystem",
+                        lambda **kw: calls.append(kw) or system(**kw))
+    assert cli.run(["nearfield-sim", "--B", "2", "--s", "3", "--m", "40", "--epsilon", "1e-3",
+                    "--output-dir", str(tmp_path / "nf")]) == 0
+    assert len(calls) == 1
+
+
+def test_nearfield_sim_labels_rows_by_coefficient_index(tmp_path):
+    out = tmp_path / "nf"
+    assert cli.run(["nearfield-sim", "--B", "2", "--s", "3", "--m", "40",
+                    "--output-dir", str(out)]) == 0
+    rows = (out / "T_true.csv").read_text().splitlines()[1:]
+    assert len(rows) == nearfield.coefficient_count(2)
+    for i, row in enumerate(rows):
+        h, l, k = (int(t) for t in row.split(",")[:3])
+        assert nearfield.coefficient_index(h, l, k, 2) == i
+
+
 def test_phase_transition_threads_byte_identical(tmp_path):
     cfg = {"B": 2, "m_values": [4, 10], "s_values": [1], "trials": 4,
            "base_seed": 3}
@@ -478,6 +501,9 @@ def test_phase_transition_without_config_exit_code(tmp_path, capsys):
     ({"B": 2, "m_values": [4], "s_values": [1], "success_threshold": "x"}, "success_threshold"),
     ({"B": 2, "m_values": [10, 4], "s_values": [1]}, "m_values must strictly increase"),
     ({"B": 2, "m_values": [4, 4], "s_values": [1]}, "m_values must strictly increase"),
+    ({"B": 2, "m_values": [4], "s_values": [1], "base_seed": -1}, "base_seed"),
+    ({"B": 2, "m_values": [4], "s_values": [1], "measure": "uniform"}, "measure"),
+    ({"B": 2, "m_values": [4], "s_values": [1], "nonzero_model": "Bernoulli"}, "nonzero_model"),
 ])
 def test_phase_transition_rejects_config_that_is_not_its_keys(cfg, named, tmp_path, capsys):
     path = tmp_path / "cfg.json"

@@ -358,6 +358,9 @@ def test_trial_config_validation():
         TrialConfig(B=2, m=0)
     with pytest.raises(ValueError, match="success_threshold"):
         TrialConfig(B=2, success_threshold=math.nan)
+    for key, bad in (("base_seed", -1), ("measure", "uniform"), ("nonzero_model", "Bernoulli")):
+        with pytest.raises(ValueError, match=key):
+            TrialConfig(B=2, **{key: bad})
 
 
 def test_tan13_trial_runs():

@@ -15,7 +15,6 @@ from so3sparse.nearfield import (
     default_probe_weights,
     make_schedule,
     pattern_cut,
-    recover_transmission,
     weight_condition,
 )
 from so3sparse.sensing import add_noise, build_matrix, precondition
@@ -29,6 +28,12 @@ WEIGHTS = default_probe_weights()
 
 def _dictionary(B, sched, weights=WEIGHTS):
     return build_dictionary(B, weights, sched)
+
+
+def _solve(A, sched, y, epsilon=0.0, cfg=None):
+    """The l1 solve of `nearfield-sim`: its preconditioned system and result."""
+    system = precondition(sched, A, y, epsilon)
+    return system, solver.bpdn_ball(system.A, system.y, system.radius, cfg)
 
 
 def test_coefficient_count_and_index_bijection():
@@ -220,8 +225,8 @@ def test_recover_square_system_exact():
     sched = make_schedule(rng, n)
     values = gen_sparse(n, 5, COMPLEX_GAUSSIAN, rng)
     A = _dictionary(B, sched)
-    rec, res = recover_transmission(A, sched, A @ values, cfg=TIGHT)
-    assert np.linalg.norm(rec - values) / np.linalg.norm(values) < 1e-6
+    _, res = _solve(A, sched, A @ values, cfg=TIGHT)
+    assert np.linalg.norm(res.x - values) / np.linalg.norm(values) < 1e-6
 
 
 def test_l1_beats_least_squares_underdetermined():
@@ -234,10 +239,10 @@ def test_l1_beats_least_squares_underdetermined():
         values = gen_sparse(coefficient_count(B), s, COMPLEX_GAUSSIAN, rng)
         A = _dictionary(B, sched)
         y = A @ values
-        rec, res = recover_transmission(A, sched, y, cfg=TIGHT)
+        _, res = _solve(A, sched, y, cfg=TIGHT)
         ls = res.least_squares()
         nrm = np.linalg.norm(values)
-        errs_l1.append(np.linalg.norm(rec - values) / nrm)
+        errs_l1.append(np.linalg.norm(res.x - values) / nrm)
         errs_ls.append(np.linalg.norm(ls - values) / nrm)
     assert np.median(errs_l1) < 1e-3
     assert np.median(errs_ls) > 1e-2
@@ -251,13 +256,13 @@ def test_least_squares_overdetermined_exact():
     sched = make_schedule(rng, 3 * n)
     values = gen_sparse(n, 3, COMPLEX_GAUSSIAN, rng)
     A = _dictionary(B, sched)
-    ls = recover_transmission(A, sched, A @ values)[1].least_squares()
+    ls = _solve(A, sched, A @ values)[1].least_squares()
     assert np.linalg.norm(ls - values) / np.linalg.norm(values) < 1e-10
 
 
 def test_least_squares_zero_data():
     sched = make_schedule(np.random.default_rng(6), 8)
-    _, res = recover_transmission(_dictionary(2, sched), sched, np.zeros(8, dtype=complex))
+    _, res = _solve(_dictionary(2, sched), sched, np.zeros(8, dtype=complex))
     np.testing.assert_allclose(res.least_squares(), 0, atol=1e-14)
 
 
@@ -282,8 +287,7 @@ def test_least_squares_matches_lstsq(measure, eps):
     # the eigenbasis at eps > 0, where W* (V* y / lam) alone is off by 1e-5
     for seed in (0, 1):
         A, sched, _, y = _draw(seed, measure, eps)
-        _, res = recover_transmission(A, sched, y, epsilon=eps)
-        system = precondition(sched, A, y, eps)
+        system, res = _solve(A, sched, y, epsilon=eps)
         ls = np.linalg.lstsq(system.A, system.y, rcond=None)[0]
         assert np.linalg.norm(res.least_squares() - ls) <= 1e-10 * np.linalg.norm(ls)
 
@@ -301,9 +305,9 @@ def test_ball_polish_certifies_once_the_support_is_final(monkeypatch):
 
     monkeypatch.setattr(solver, "_polish", spy)
     A, sched, _, y = _draw(3964924996, sampling.PRODUCT, 1e-3)
-    rec, res = recover_transmission(A, sched, y, epsilon=1e-3)
+    _, res = _solve(A, sched, y, epsilon=1e-3)
     assert res.status == "Converged" and res.dual_residual == 0.0    # a polish
-    final = [ok for S, ok in attempts if S == tuple(np.flatnonzero(rec))]
+    final = [ok for S, ok in attempts if S == tuple(np.flatnonzero(res.x))]
     assert final == [True]
 
 
@@ -315,10 +319,9 @@ def test_recover_with_noise_stays_feasible():
     A = _dictionary(B, sched)
     y = A @ values
     y = y + eps * 0.5 * np.exp(1j * rng.uniform(0, 2 * math.pi, m))
-    rec, res = recover_transmission(A, sched, y, epsilon=eps, cfg=TIGHT)
+    system, res = _solve(A, sched, y, epsilon=eps, cfg=TIGHT)
     assert res.status == "Converged"
-    system = precondition(sched, A, y, eps)
-    assert np.linalg.norm(system.A @ rec - system.y) <= system.radius * (1 + 1e-12)
+    assert np.linalg.norm(system.A @ res.x - system.y) <= system.radius * (1 + 1e-12)
 
 
 def test_pattern_cut_scale_invariance_and_atom():
@@ -327,13 +330,13 @@ def test_pattern_cut_scale_invariance_and_atom():
     values = gen_sparse(coefficient_count(B), 3, COMPLEX_GAUSSIAN, rng)
     theta_grid = np.linspace(0.01, math.pi - 0.01, 91)
     (db1, ok1), (db2, ok2) = pattern_cut(B, WEIGHTS, [values, (2.5 - 1j) * values],
-                                         0.3, theta_grid)
+                                         theta_grid)
     assert ok1 and ok2
     np.testing.assert_allclose(db1, db2, atol=1e-10)
     # single atom: pattern matches direct |D| synthesis on the cut
     v = np.zeros(coefficient_count(B), dtype=complex)
     v[coefficient_index(1, 1, 0, B)] = 1.0
-    [(db, ok)] = pattern_cut(B, WEIGHTS, [v], 0.0, theta_grid, chi=0.0)
+    [(db, ok)] = pattern_cut(B, WEIGHTS, [v], theta_grid)
     direct = np.abs(
         wigner_D(1, 0, -1, theta_grid, 0.0, 0.0) + wigner_D(1, 0, 1, theta_grid, 0.0, 0.0)
     )
@@ -348,16 +351,16 @@ def test_pattern_cut_vectors_match_single_cuts():
     xs = [gen_sparse(coefficient_count(B), s, COMPLEX_GAUSSIAN, rng) for s in (1, 4, 30)]
     xs.append(np.zeros(coefficient_count(B)))
     theta_grid = np.linspace(0.0, math.pi, 37)
-    together = pattern_cut(B, WEIGHTS, xs, 0.7, theta_grid, chi=math.pi / 2)
+    together = pattern_cut(B, WEIGHTS, xs, theta_grid)
     assert len(together) == len(xs)
     for x, (db, ok) in zip(xs, together):
-        [(db1, ok1)] = pattern_cut(B, WEIGHTS, [x], 0.7, theta_grid, chi=math.pi / 2)
+        [(db1, ok1)] = pattern_cut(B, WEIGHTS, [x], theta_grid)
         assert ok == ok1
         np.testing.assert_array_equal(db, db1)
 
 
 def test_pattern_cut_zero_flag():
-    [(db, ok)] = pattern_cut(2, WEIGHTS, [np.zeros(coefficient_count(2))], 0.0,
+    [(db, ok)] = pattern_cut(2, WEIGHTS, [np.zeros(coefficient_count(2))],
                              np.linspace(0, math.pi, 11))
     assert not ok
     assert np.all(np.isnan(db))
@@ -365,7 +368,7 @@ def test_pattern_cut_zero_flag():
 
 def test_pattern_cut_rejects_empty_grid():
     with pytest.raises(ValueError):
-        pattern_cut(2, WEIGHTS, [np.zeros(coefficient_count(2))], 0.0, np.array([]))
+        pattern_cut(2, WEIGHTS, [np.zeros(coefficient_count(2))], np.array([]))
 
 
 def test_default_probe_weights_shape():
